@@ -1,4 +1,4 @@
-.PHONY: all build test lint analyze chaos crash-chaos replica-chaos storage-chaos scrub-smoke mvcc-chaos serve-smoke bench-smoke check clean
+.PHONY: all build test lint analyze chaos crash-chaos replica-chaos storage-chaos scrub-smoke mvcc-chaos serve-smoke bench-smoke perfbench-smoke check clean
 
 all: build
 
@@ -123,7 +123,21 @@ bench-smoke:
 	@grep -q '"acceptance"' BENCH_serve.json && grep -q '"speedup"' BENCH_serve.json \
 	  && echo "BENCH_serve.json well-formed"
 
-check: build test lint analyze chaos crash-chaos replica-chaos storage-chaos scrub-smoke mvcc-chaos serve-smoke bench-smoke
+# The benchmark's correctness gate: a 3-second run of each perfbench
+# workload (point-commit, report-read, ingest-mixed) must report
+# "correct": true and zero failed operations.  report-read's gate
+# bit-compares every wire answer with an in-process Snapshot.query
+# through the view index, where a stale shared index would show.
+perfbench-smoke:
+	@for w in point-commit report-read ingest-mixed; do \
+	  line=$$(python3 perfbench/run.py --workload $$w --seed 1 --seconds 3 \
+	    --trace 0 | tail -n 1); \
+	  echo "$$w: $$line"; \
+	  printf '%s' "$$line" | python3 -c 'import json, sys; r = json.load(sys.stdin); sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' \
+	    || { echo "perfbench-smoke: $$w answered wrongly or failed operations"; exit 1; }; \
+	done
+
+check: build test lint analyze chaos crash-chaos replica-chaos storage-chaos scrub-smoke mvcc-chaos serve-smoke bench-smoke perfbench-smoke
 
 clean:
 	dune clean

@@ -314,7 +314,7 @@ let cmd_replica feed sql tip max_lag =
    | Some t ->
      let l = Session.replica_lag r ~tip:t in
      Printf.printf "lag vs tip %d: %d record(s), %d byte(s)\n%!" t
-       l.Session.records l.Session.bytes
+       l.Rfview.Staleness.records l.Rfview.Staleness.bytes
    | None -> ());
   match sql with
   | None -> ()

@@ -16,9 +16,10 @@ let enabled () = !flag
 let counter = ref 0
 let checks_run () = !counter
 
-(* Scanning a materialized view can heal it, which re-enters the planner
-   (and hence this hook) through Database.run_query; the guard keeps the
-   sanitizer from recursing into its own executions. *)
+(* Scanning a quarantined materialized view heals it, which re-enters
+   the engine's read path (and hence this hook) to recompute the view;
+   the guard keeps the sanitizer from recursing into its own
+   executions. *)
 let in_progress = ref false
 
 let children (p : Logical.t) : Logical.t list =

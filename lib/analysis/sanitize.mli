@@ -6,10 +6,12 @@
 
     Like the plan verifier, the sanitizer is installed through
     {!Rfview_planner.Hooks} ([Hooks.sanitizer]) because the planner
-    cannot depend on this library; [Rfview_engine.Database.plan_query]
-    invokes the hook on the final optimized plan of every query, so
-    enabling the sanitizer covers normal runs, rewrites and the chaos
-    harness alike.  It is a test-time tool: every sub-plan is planned
+    cannot depend on this library; the engine's read path invokes the
+    hook on the final optimized plan of every query the writer plans
+    (statements, view recomputation, derived-maintenance sub-plans —
+    snapshot reads on other domains skip it), so enabling the
+    sanitizer covers normal runs, rewrites and the chaos harness
+    alike.  It is a test-time tool: every sub-plan is planned
     and executed separately, roughly squaring the cost of a query. *)
 
 module Logical := Rfview_planner.Logical

@@ -1,6 +1,7 @@
 (* The catalog: tables with their rows and secondary indexes, plus view
-   definitions.  Names are case-insensitive.  Indexes are invalidated by
-   DML and rebuilt lazily on first use. *)
+   definitions.  Names are case-insensitive.  A built index lives in the
+   [indexed] value beside the row array it was built from, so replacing
+   the rows replaces the indexes with them. *)
 
 open Rfview_relalg
 module Ast = Rfview_sql.Ast
@@ -11,17 +12,50 @@ let catalog_error fmt = Format.kasprintf (fun s -> raise (Catalog_error s)) fmt
 
 let key s = String.lowercase_ascii s
 
+(* ---- Row arrays and the indexes built over them ----
+
+   Every mutation replaces a table's rows or a view's contents
+   wholesale, never in place, so an index cached beside an array can
+   never describe a different array: no invalidation exists.  Reader
+   domains share the cache; an index is built outside the lock and the
+   first finished build wins (racing builds are equal). *)
+
+type indexed = {
+  rel : Relation.t;
+  mutable built : ((int * Index.kind) * Index.t) list; (* guarded by [built_mu] *)
+}
+
+let built_mu = Mutex.create ()
+let indexed rel = { rel; built = [] }
+let relation ix = ix.rel
+
+let index ix ~column kind =
+  match Schema.find_opt (Relation.schema ix.rel) column with
+  | None -> None
+  | Some col ->
+    let cached () = List.assoc_opt (col, kind) ix.built in
+    (match Mutex.protect built_mu cached with
+     | Some b -> Some b
+     | None ->
+       let b = Index.build kind (Relation.rows ix.rel) ~key_col:col in
+       Some
+         (Mutex.protect built_mu (fun () ->
+              match cached () with
+              | Some first -> first
+              | None ->
+                ix.built <- ((col, kind), b) :: ix.built;
+                b)))
+
 type index_def = {
   index_name : string;
   column : string;
   kind : Index.kind;
-  mutable built : Index.t option;
 }
 
 type table = {
   table_name : string;
   schema : Schema.t;
-  mutable rows : Row.t array;
+  mutable data : indexed;
   mutable indexes : index_def list;
 }
 
@@ -29,7 +63,7 @@ type view = {
   view_name : string;
   materialized : bool;
   definition : Ast.query;
-  mutable contents : Relation.t option; (* Some for materialized views *)
+  mutable contents : indexed option; (* Some for materialized views *)
   (* quarantined: maintenance faulted, contents lag the base table until
      the next read triggers a full refresh *)
   mutable stale : bool;
@@ -54,7 +88,9 @@ let table t name =
 let create_table t ~name ~schema =
   if Hashtbl.mem t.tables (key name) || Hashtbl.mem t.views (key name) then
     catalog_error "relation %s already exists" name;
-  let tbl = { table_name = name; schema; rows = [||]; indexes = [] } in
+  let tbl =
+    { table_name = name; schema; data = indexed (Relation.of_array schema [||]); indexes = [] }
+  in
   Hashtbl.replace t.tables (key name) tbl;
   tbl
 
@@ -62,14 +98,9 @@ let drop_table t ~name ~if_exists =
   if Hashtbl.mem t.tables (key name) then Hashtbl.remove t.tables (key name)
   else if not if_exists then catalog_error "unknown table %s" name
 
-let table_relation (tbl : table) : Relation.t = Relation.of_array tbl.schema tbl.rows
-
-let invalidate_indexes (tbl : table) =
-  List.iter (fun idx -> idx.built <- None) tbl.indexes
-
-let set_rows (tbl : table) rows =
-  tbl.rows <- rows;
-  invalidate_indexes tbl
+let table_relation (tbl : table) = tbl.data.rel
+let rows (tbl : table) = Relation.rows tbl.data.rel
+let set_rows (tbl : table) rows = tbl.data <- indexed (Relation.of_array tbl.schema rows)
 
 (* ---- Indexes ---- *)
 
@@ -80,29 +111,7 @@ let create_index t ~name ~table:tname ~column ~kind =
    | None -> catalog_error "table %s has no column %s" tname column);
   if List.exists (fun i -> key i.index_name = key name) tbl.indexes then
     catalog_error "index %s already exists" name;
-  tbl.indexes <- { index_name = name; column; kind; built = None } :: tbl.indexes
-
-let table_index t ~table:tname ~column : Index.t option =
-  match find_table t tname with
-  | None -> None
-  | Some tbl ->
-    List.find_map
-      (fun idx ->
-        if key idx.column = key column then begin
-          match idx.built with
-          | Some built -> Some built
-          | None ->
-            let key_col =
-              match Schema.find_opt tbl.schema idx.column with
-              | Some i -> i
-              | None -> catalog_error "index column %s disappeared" idx.column
-            in
-            let built = Index.build idx.kind tbl.rows ~key_col in
-            idx.built <- Some built;
-            Some built
-        end
-        else None)
-      tbl.indexes
+  tbl.indexes <- { index_name = name; column; kind } :: tbl.indexes
 
 (* ---- Views ---- *)
 

@@ -1,23 +1,40 @@
 (** The catalog: tables with rows and secondary indexes, plus view
-    definitions.  Names are case-insensitive.  Indexes are invalidated by
-    DML and rebuilt lazily on first use. *)
+    definitions.  Names are case-insensitive.  A built index is cached
+    beside the row array it indexes ({!indexed}) and built lazily on
+    first use. *)
 
 open Rfview_relalg
 module Ast := Rfview_sql.Ast
 
 exception Catalog_error of string
 
+(** {1 Row arrays with their indexes} *)
+
+(** A relation together with the indexes built over its rows.  Rows are
+    never mutated in place: a mutation installs a fresh [indexed], so a
+    cached index always describes the array beside it.  Safe to share
+    across domains. *)
+type indexed
+
+(** A fresh value with an empty index cache. *)
+val indexed : Relation.t -> indexed
+
+val relation : indexed -> Relation.t
+
+(** The [kind] index on [column], built on first request and cached
+    beside the rows; [None] when the relation has no such column. *)
+val index : indexed -> column:string -> Index.kind -> Index.t option
+
 type index_def = {
   index_name : string;
   column : string;
   kind : Index.kind;
-  mutable built : Index.t option;
 }
 
 type table = {
   table_name : string;
   schema : Schema.t;
-  mutable rows : Row.t array;
+  mutable data : indexed;  (** the rows and their built indexes *)
   mutable indexes : index_def list;
 }
 
@@ -25,7 +42,7 @@ type view = {
   view_name : string;
   materialized : bool;
   definition : Ast.query;
-  mutable contents : Relation.t option;  (** [Some] for materialized views *)
+  mutable contents : indexed option;  (** [Some] for materialized views *)
   mutable stale : bool;
       (** quarantined: maintenance faulted, contents lag the base table
           until the next read triggers a full refresh *)
@@ -47,22 +64,19 @@ val create_table : t -> name:string -> schema:Schema.t -> table
 
 val drop_table : t -> name:string -> if_exists:bool -> unit
 
-(** A snapshot of the current contents. *)
+(** The current contents. *)
 val table_relation : table -> Relation.t
 
-(** Replace the rows and invalidate all indexes. *)
-val set_rows : table -> Row.t array -> unit
+val rows : table -> Row.t array
 
-val invalidate_indexes : table -> unit
+(** Replace the rows (and with them every built index). *)
+val set_rows : table -> Row.t array -> unit
 
 (** {1 Indexes} *)
 
 (** @raise Catalog_error on unknown table/column or duplicate name. *)
 val create_index :
   t -> name:string -> table:string -> column:string -> kind:Index.kind -> unit
-
-(** The (lazily built) index on [table].[column], if any. *)
-val table_index : t -> table:string -> column:string -> Index.t option
 
 (** {1 Views} *)
 

@@ -105,7 +105,6 @@ type view_index = {
   vi_view : string;
   vi_column : string;
   vi_kind : Index.kind;
-  mutable vi_built : Index.t option;
 }
 
 (* Attached by [open_durable]/[recover]: the WAL writer for the database
@@ -163,18 +162,18 @@ type result =
    state.  Publication is pointer capture, never a deep copy: table row
    arrays are replaced wholesale by every mutation path
    ([Catalog.set_rows], fresh [Array.map]/[Array.append] results) and
-   materialized-view contents are replaced by fresh [Relation.t] values
-   ([Matview.render], [run_query]), so a captured pointer can never
-   observe a later write.  Readers acquire versions under [mv_mu] from
-   any domain; the single writer publishes under the same mutex.  The
-   retained window keeps the last [mv_retain] versions acquirable;
-   older versions survive exactly as long as an active snapshot pins
-   them ([v_refs]). *)
+   materialized-view contents are replaced by fresh [Catalog.indexed]
+   values ([Matview.render], [recompute]), so a captured pointer can
+   never observe a later write — and the indexes cached beside a
+   captured array are shared by every reader of it.  Readers acquire
+   versions under [mv_mu] from any domain; the single writer publishes
+   under the same mutex.  The retained window keeps the last
+   [mv_retain] versions acquirable; older versions survive exactly as
+   long as an active snapshot pins them ([v_refs]). *)
 
 type vtable = {
   vt_name : string;
-  vt_schema : Schema.t;
-  vt_rows : Row.t array; (* frozen: the array pointer at commit *)
+  vt_data : Catalog.indexed; (* frozen: the rows pointer at capture *)
   vt_indexes : (string * Index.kind) list; (* column, kind *)
 }
 
@@ -182,7 +181,7 @@ type vview = {
   vv_name : string;
   vv_materialized : bool;
   vv_definition : Ast.query;
-  vv_contents : Relation.t option; (* frozen rendering at commit *)
+  vv_contents : Catalog.indexed option; (* frozen rendering at capture *)
   vv_stale : bool;
 }
 
@@ -229,8 +228,7 @@ let capture_version db ~lsn : version =
       |> List.map (fun (tbl : Catalog.table) ->
              {
                vt_name = tbl.Catalog.table_name;
-               vt_schema = tbl.Catalog.schema;
-               vt_rows = tbl.Catalog.rows;
+               vt_data = tbl.Catalog.data;
                vt_indexes =
                  List.map
                    (fun (i : Catalog.index_def) -> (i.Catalog.column, i.Catalog.kind))
@@ -265,6 +263,11 @@ let sweep_versions mv =
   in
   mv.mv_versions <- keep 0 mv.mv_versions
 
+let tip_lsn db =
+  match db.durable with
+  | Some d -> d.base_lsn + d.appended
+  | None -> db.mvcc.mv_seq
+
 (* Publish the current state as a fresh version if anything changed
    since the last publish.  Called by the single writer at commit
    points only (never mid-scope).  A commit that appended no WAL
@@ -273,11 +276,7 @@ let sweep_versions mv =
 let publish_version db =
   let mv = db.mvcc in
   if mv.mv_dirty && db.batch = None && db.undo = None then begin
-    let tip =
-      match db.durable with
-      | Some d -> d.base_lsn + d.appended
-      | None -> mv.mv_seq
-    in
+    let tip = tip_lsn db in
     let v = capture_version db ~lsn:tip in
     Mutex.lock mv.mv_mu;
     mv.mv_seq <- mv.mv_seq + 1;
@@ -505,8 +504,119 @@ let flush_wal db =
        raise e)
   | _ -> db.wal_pending <- []
 
-(* Forward reference to [checkpoint] for the auto-checkpoint hook. *)
-let checkpoint_ref : (t -> unit) ref = ref (fun _ -> ())
+(* ---- Checkpoint ----
+
+   An atomic snapshot of tables, index DDL, views and materialized
+   state, then a fresh WAL epoch.  Reads only the catalog and the
+   durability record, so the commit protocol below can call it. *)
+
+let checkpoint db =
+  if db.batch <> None then engine_error "checkpoint: a batch is open";
+  match db.durable with
+  | None -> engine_error "checkpoint: database has no directory (open it with open_durable)"
+  | Some d ->
+    check_degraded d;
+    let epoch' = d.epoch + 1 in
+    let by_name name_of a b = String.compare (key (name_of a)) (key (name_of b)) in
+    let tables =
+      Catalog.all_tables db.catalog
+      |> List.sort (by_name (fun (t : Catalog.table) -> t.Catalog.table_name))
+      |> List.map (fun (t : Catalog.table) ->
+             {
+               Checkpoint.t_name = t.Catalog.table_name;
+               t_schema = t.Catalog.schema;
+               t_rows = Catalog.rows t;
+             })
+    in
+    let index_ddl =
+      let table_indexes =
+        Catalog.all_tables db.catalog
+        |> List.sort (by_name (fun (t : Catalog.table) -> t.Catalog.table_name))
+        |> List.concat_map (fun (t : Catalog.table) ->
+               t.Catalog.indexes
+               |> List.sort (by_name (fun (i : Catalog.index_def) -> i.Catalog.index_name))
+               |> List.map (fun (i : Catalog.index_def) ->
+                      Pretty.statement
+                        (Ast.St_create_index
+                           {
+                             name = i.Catalog.index_name;
+                             table = t.Catalog.table_name;
+                             column = i.Catalog.column;
+                             ordered = i.Catalog.kind = Index.Ordered;
+                           })))
+      in
+      let view_indexes =
+        Hashtbl.fold (fun name vi acc -> (name, vi) :: acc) db.view_indexes []
+        |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+        |> List.map (fun (name, vi) ->
+               Pretty.statement
+                 (Ast.St_create_index
+                    {
+                      name;
+                      table = vi.vi_view;
+                      column = vi.vi_column;
+                      ordered = vi.vi_kind = Index.Ordered;
+                    }))
+      in
+      table_indexes @ view_indexes
+    in
+    let views =
+      Catalog.all_views db.catalog
+      |> List.sort (by_name (fun (v : Catalog.view) -> v.Catalog.view_name))
+      |> List.map (fun (v : Catalog.view) ->
+             {
+               Checkpoint.v_name = v.Catalog.view_name;
+               v_materialized = v.Catalog.materialized;
+               v_sql = Pretty.query v.Catalog.definition;
+               v_state =
+                 (if not v.Catalog.materialized then `None
+                  else
+                    `Snap
+                      {
+                        Checkpoint.s_stale = v.Catalog.stale;
+                        s_contents = Option.map Catalog.relation v.Catalog.contents;
+                        s_incremental =
+                          Hashtbl.mem db.view_states (key v.Catalog.view_name)
+                          || Hashtbl.mem db.derived_views
+                               (key v.Catalog.view_name);
+                      });
+             })
+    in
+    let lsn = d.base_lsn + d.appended in
+    (try Checkpoint.write ~dir:d.dir ~lsn ~epoch:epoch' ~tables ~index_ddl ~views
+     with e when is_enospc e ->
+       (* the tmp file is already removed; the old checkpoint + WAL are
+          intact, but the disk is full: stop taking writes *)
+       enter_degraded d "checkpoint failed: disk full";
+       raise (Degraded_error { reason = "checkpoint failed: disk full" }));
+    (* The snapshot is durable: install a fresh log for the new epoch.
+       From here on a failure is dangerous, not just inconvenient —
+       appending to the old-epoch log would be silently discarded at
+       recovery (its epoch is behind the new checkpoint's).  Any
+       failure therefore enters degraded mode carrying the pending
+       install, which the space probe finishes before lifting it. *)
+    (try
+       Fault.hit site_install;
+       let old = d.wal in
+       let wal = Wal.create (wal_path d.dir) ~epoch:epoch' in
+       (try Wal.close old with _ -> ());
+       d.wal <- wal;
+       d.epoch <- epoch';
+       d.base_lsn <- lsn;
+       d.appended <- 0
+     with
+     | Fault.Injected _ as e ->
+       (* a bare armed [checkpoint.install] simulates a crash here; the
+          harness closes and recovers, which handles the stale log *)
+       raise e
+     | e when recoverable_exn e ->
+       let reason =
+         Printf.sprintf "fresh WAL install failed after checkpoint: %s"
+           (Printexc.to_string e)
+       in
+       enter_degraded d reason;
+       d.pending_fresh <- Some (epoch', lsn);
+       raise (Degraded_error { reason }))
 
 (* A failed automatic checkpoint is degradation, not an error: the old
    checkpoint and the (longer) WAL still recover the same state. *)
@@ -524,7 +634,7 @@ let maybe_auto_checkpoint db =
       | None -> false
     in
     if by_count || by_bytes then
-      (try !checkpoint_ref db with e when recoverable_exn e -> ())
+      (try checkpoint db with e when recoverable_exn e -> ())
   | None -> ()
 
 let with_undo db f =
@@ -571,32 +681,20 @@ let with_undo db f =
        db.mvcc.mv_dirty <- false;
        raise e)
 
-(* Snapshot a table: its rows array plus the built caches of its
-   secondary indexes. *)
+(* Snapshot a table: its rows with their built indexes, and its index
+   list. *)
 let log_table db (tbl : Catalog.table) =
   mark_dirty db;
-  let rows = tbl.Catalog.rows in
+  let data = tbl.Catalog.data in
   let indexes = tbl.Catalog.indexes in
-  let builts = List.map (fun (i : Catalog.index_def) -> (i, i.Catalog.built)) indexes in
   log_undo db (fun () ->
-      tbl.Catalog.rows <- rows;
-      tbl.Catalog.indexes <- indexes;
-      List.iter (fun ((i : Catalog.index_def), b) -> i.Catalog.built <- b) builts)
+      tbl.Catalog.data <- data;
+      tbl.Catalog.indexes <- indexes)
 
-(* Snapshot the built caches of every view index on [name]. *)
-let log_view_index_caches db name =
-  let saved =
-    Hashtbl.fold
-      (fun _ vi acc -> if key vi.vi_view = key name then (vi, vi.vi_built) :: acc else acc)
-      db.view_indexes []
-  in
-  if saved <> [] then
-    log_undo db (fun () -> List.iter (fun (vi, b) -> vi.vi_built <- b) saved)
-
-(* Snapshot a materialized view: contents, quarantine flag, incremental
-   maintenance state (deep-copied: maintenance mutates it in place;
-   derived-plan states are immutable, so their binding suffices) and
-   index caches. *)
+(* Snapshot a materialized view: contents (with their built indexes),
+   quarantine flag and incremental maintenance state (deep-copied:
+   maintenance mutates it in place; derived-plan states are immutable,
+   so their binding suffices). *)
 let log_view db (v : Catalog.view) =
   mark_dirty db;
   let contents = v.Catalog.contents in
@@ -614,119 +712,122 @@ let log_view db (v : Catalog.view) =
        | None -> Hashtbl.remove db.view_states (key v.Catalog.view_name));
       match derived with
       | Some d -> Hashtbl.replace db.derived_views (key v.Catalog.view_name) d
-      | None -> Hashtbl.remove db.derived_views (key v.Catalog.view_name));
-  log_view_index_caches db v.Catalog.view_name
+      | None -> Hashtbl.remove db.derived_views (key v.Catalog.view_name))
 
-(* ---- Catalog adapters ---- *)
+(* ---- The read path ----
 
-(* Forward reference to [refresh_view_full], needed by the lazy
-   refresh-on-read of quarantined views below. *)
-let refresh_ref : (t -> Catalog.view -> unit) ref =
-  ref (fun _ _ -> assert false)
+   Every read — the writer's own and every snapshot's — runs this one
+   implementation over a frozen [version]: relations resolve against
+   the version's captured pointers, and indexes come from the cache
+   beside each captured array.  The writer captures its working state
+   with [capture_version] (without publishing it).  Callers differ only
+   in how a quarantined view heals ([rd_heal]): a snapshot heals
+   locally, the writer refreshes the live view.  The writer's reads
+   also run the differential sanitizer hook, which mutates
+   process-global state and so stays off reader domains. *)
 
-(* Forward reference to [flush_delta] (defined after [propagate]):
-   reading view contents mid-batch must first propagate the pending
-   delta so no pre-batch result is ever served. *)
-let flush_delta_ref : (t -> unit) ref = ref (fun _ -> ())
+type reader = {
+  rd_version : version;
+  rd_heal : reader -> vview -> Catalog.indexed;
+  rd_sanitize : bool;
+}
 
-let view_contents db name =
-  !flush_delta_ref db;
-  match Catalog.find_view db.catalog name with
-  | Some v when v.Catalog.materialized ->
-    (* quarantined views heal on first read *)
-    if v.Catalog.stale then !refresh_ref db v;
-    (match v.Catalog.contents with
-     | Some r -> Some r
-     | None -> engine_error "materialized view %s has no contents" name)
+let find_vtable rd name =
+  List.find_opt (fun vt -> key vt.vt_name = key name) rd.rd_version.v_tables
+
+let find_vview rd name =
+  List.find_opt (fun vv -> key vv.vv_name = key name) rd.rd_version.v_views
+
+let read_view rd name : Catalog.indexed option =
+  match find_vview rd name with
+  | Some vv when vv.vv_materialized ->
+    if vv.vv_stale then Some (rd.rd_heal rd vv)
+    else (
+      match vv.vv_contents with
+      | Some c -> Some c
+      | None -> engine_error "materialized view %s has no contents" name)
   | _ -> None
 
-let binder_catalog db : P.Binder.catalog =
+let read_relation rd name : Relation.t option =
+  match find_vtable rd name with
+  | Some vt -> Some (Catalog.relation vt.vt_data)
+  | None -> Option.map Catalog.relation (read_view rd name)
+
+let reader_binder rd : P.Binder.catalog =
   {
     P.Binder.resolve_table =
-      (fun name ->
-        match Catalog.find_table db.catalog name with
-        | Some tbl -> Some tbl.Catalog.schema
-        | None ->
-          (match view_contents db name with
-           | Some r -> Some (Relation.schema r)
-           | None -> None));
+      (fun name -> Option.map Relation.schema (read_relation rd name));
     resolve_view =
       (fun name ->
-        match Catalog.find_view db.catalog name with
-        | Some v when not v.Catalog.materialized -> Some v.Catalog.definition
+        match find_vview rd name with
+        | Some vv when not vv.vv_materialized -> Some vv.vv_definition
         | _ -> None);
   }
 
-let view_index db ~view ~column =
-  Hashtbl.fold
-    (fun _ vi acc ->
-      if acc <> None then acc
-      else if key vi.vi_view = key view && key vi.vi_column = key column then begin
-        match vi.vi_built with
-        | Some b -> Some b
-        | None ->
-          (match view_contents db view with
-           | None -> None
-           | Some r ->
-             (match Schema.find_opt (Relation.schema r) column with
-              | None -> None
-              | Some ci ->
-                let b = Index.build vi.vi_kind (Relation.rows r) ~key_col:ci in
-                vi.vi_built <- Some b;
-                Some b))
-      end
-      else None)
-    db.view_indexes None
+(* The index declared on [relname].[column] — a table's secondary index
+   or a view index — built over the frozen array it indexes. *)
+let read_index rd ~relname ~column : Index.t option =
+  match find_vtable rd relname with
+  | Some vt ->
+    Option.bind
+      (List.find_opt (fun (col, _) -> key col = key column) vt.vt_indexes)
+      (fun (_, kind) -> Catalog.index vt.vt_data ~column kind)
+  | None ->
+    Option.bind
+      (List.find_opt
+         (fun (view, col, _) -> key view = key relname && key col = key column)
+         rd.rd_version.v_view_indexes)
+      (fun (_, _, kind) ->
+        Option.bind (read_view rd relname) (fun c -> Catalog.index c ~column kind))
 
-let catalog_view db : P.Physical.catalog_view =
+let reader_catalog rd : P.Physical.catalog_view =
   {
     P.Physical.table_contents =
       (fun name ->
-        match Catalog.find_table db.catalog name with
-        | Some tbl -> Catalog.table_relation tbl
-        | None ->
-          (match view_contents db name with
-           | Some r -> r
-           | None -> engine_error "unknown relation %s" name));
-    table_index =
-      (fun ~table ~column ->
-        match Catalog.table_index db.catalog ~table ~column with
-        | Some idx -> Some idx
-        | None -> view_index db ~view:table ~column);
+        match read_relation rd name with
+        | Some r -> r
+        | None -> engine_error "unknown relation %s" name);
+    table_index = (fun ~table ~column -> read_index rd ~relname:table ~column);
   }
 
-let invalidate_view_indexes db name =
-  Hashtbl.iter
-    (fun _ vi -> if key vi.vi_view = key name then vi.vi_built <- None)
-    db.view_indexes
-
-(* ---- Query execution ---- *)
-
-let plan_query db (q : Ast.query) : P.Physical.t =
-  let logical = P.Binder.bind_query (binder_catalog db) q in
-  if Verify.enabled () then Verify.check_plan ~context:"bound plan" logical;
-  let logical =
-    match db.cfg.window_mode with
-    | `Native -> logical
-    | `Self_join -> P.Rewrite.window_to_self_join logical
-  in
-  let logical = P.Optimize.optimize logical in
-  if Verify.enabled () then Verify.check_plan ~context:"optimized plan" logical;
+(* verify → sanitize → physical plan: the tail of every plan, derived
+   maintenance sub-plans included. *)
+let plan_logical rd ~context logical : P.Physical.t =
+  if Verify.enabled () then Verify.check_plan ~context logical;
+  let cat = reader_catalog rd in
   (* differential sanitizer (no-op unless Sanitize.enable installed it);
      its sub-plan executions must not consume injected-fault budget *)
-  Fault.with_suspended (fun () ->
-      P.Hooks.sanitize ~catalog:(catalog_view db) logical);
+  if rd.rd_sanitize then
+    Fault.with_suspended (fun () -> P.Hooks.sanitize ~catalog:cat logical);
+  let cfg = rd.rd_version.v_cfg in
   let opts =
     {
-      P.Physical.window_strategy = db.cfg.window_strategy;
-      enable_hash_join = db.cfg.hash_join;
-      enable_index_join = db.cfg.index_join;
+      P.Physical.window_strategy = cfg.window_strategy;
+      enable_hash_join = cfg.hash_join;
+      enable_index_join = cfg.index_join;
     }
   in
-  P.Physical.plan ~opts (catalog_view db) logical
+  P.Physical.plan ~opts cat logical
 
-let run_query db (q : Ast.query) : Relation.t =
-  P.Physical.execute (catalog_view db) (plan_query db q)
+(* bind → verify → rewrite → optimize → [plan_logical], returning the
+   bound and optimized logical plans beside the physical one (EXPLAIN
+   prints all three). *)
+let plan_stages rd (q : Ast.query) =
+  let bound = P.Binder.bind_query (reader_binder rd) q in
+  if Verify.enabled () then Verify.check_plan ~context:"bound plan" bound;
+  let optimized =
+    P.Optimize.optimize
+      (match rd.rd_version.v_cfg.window_mode with
+       | `Native -> bound
+       | `Self_join -> P.Rewrite.window_to_self_join bound)
+  in
+  (bound, optimized, plan_logical rd ~context:"optimized plan" optimized)
+
+let read_plan rd q =
+  let _, _, physical = plan_stages rd q in
+  physical
+
+let read_query rd q : Relation.t = P.Physical.execute (reader_catalog rd) (read_plan rd q)
 
 (* ---- View maintenance ---- *)
 
@@ -743,6 +844,28 @@ and tables_of_ref = function
   | Ast.Subquery { query; _ } -> tables_of_query query
   | Ast.Join { left; right; _ } -> tables_of_ref left @ tables_of_ref right
 
+(* The writer's read of its working state: captured, not published.
+   A quarantined view heals by full refresh into the live catalog, so
+   later reads — and the next published version — see it healed. *)
+let rec writer db =
+  {
+    rd_version = capture_version db ~lsn:(tip_lsn db);
+    rd_heal = (fun _ vv -> heal_live db vv.vv_name);
+    rd_sanitize = true;
+  }
+
+and heal_live db name =
+  let v = Catalog.view db.catalog name in
+  if v.Catalog.stale then refresh_view_full db v;
+  match v.Catalog.contents with
+  | Some c -> c
+  | None -> engine_error "materialized view %s has no contents" name
+
+(* Evaluate a query over the writer's state without flushing a pending
+   batch delta: for view recomputation and verification, which run
+   inside a flush or after the DDL flush of [exec_statement_in_scope]. *)
+and recompute db q = read_query (writer db) q
+
 (* Attempt to install a derived delta-plan maintenance state for a view
    the sequence machinery does not cover (generalized IVM).  The
    derivation must succeed AND its independent incrementality
@@ -751,9 +874,9 @@ and tables_of_ref = function
    is not installed: the rewritten refresh path and the native
    partition recompute could disagree bit-wise.  Returns whether a
    state was installed. *)
-let try_derive db (v : Catalog.view) =
+and try_derive db (v : Catalog.view) =
   match
-    let logical = P.Binder.bind_query (binder_catalog db) v.Catalog.definition in
+    let logical = P.Binder.bind_query (reader_binder (writer db)) v.Catalog.definition in
     match P.Deriv.derive logical with
     | Error _ -> None
     | Ok rules ->
@@ -772,13 +895,12 @@ let try_derive db (v : Catalog.view) =
   | None -> false
   | exception e when recoverable_exn e -> false
 
-let refresh_view_full db (v : Catalog.view) =
+and refresh_view_full db (v : Catalog.view) =
   Fault.hit site_refresh;
   log_view db v;
-  let contents = run_query db v.Catalog.definition in
-  v.Catalog.contents <- Some contents;
+  let contents = recompute db v.Catalog.definition in
+  v.Catalog.contents <- Some (Catalog.indexed contents);
   v.Catalog.stale <- false;
-  invalidate_view_indexes db v.Catalog.view_name;
   (* (re)try to establish an incremental state: the §2.3 sequence
      machinery first, the derived delta plans for everything else *)
   Hashtbl.remove db.view_states (key v.Catalog.view_name);
@@ -807,14 +929,12 @@ let refresh_view_full db (v : Catalog.view) =
                maintenance leave the same physical row order behind — this
                keeps batched maintenance (whose wide deltas fall back to
                this path) bit-identical to per-row maintenance *)
-            v.Catalog.contents <- Some rendered;
+            v.Catalog.contents <- Some (Catalog.indexed rendered);
             Hashtbl.replace db.view_states (key v.Catalog.view_name) state;
             true
           with Matview.Not_maintainable _ -> false))
   in
   if not seq_installed then ignore (try_derive db v)
-
-let () = refresh_ref := refresh_view_full
 
 type dml_change =
   | Rows_inserted of Row.t list
@@ -830,8 +950,7 @@ let quarantine_view db (v : Catalog.view) =
   mark_dirty db;
   Hashtbl.remove db.view_states (key v.Catalog.view_name);
   Hashtbl.remove db.derived_views (key v.Catalog.view_name);
-  v.Catalog.stale <- true;
-  invalidate_view_indexes db v.Catalog.view_name
+  v.Catalog.stale <- true
 
 (* ---- Scan sharing (batch maintenance) ----
 
@@ -913,7 +1032,7 @@ let propagate db ~table change =
   let wide =
     match change with
     | Rows_batch td ->
-      Delta.weight td >= Array.length (Catalog.table db.catalog table).Catalog.rows
+      Delta.weight td >= Array.length (Catalog.rows (Catalog.table db.catalog table))
     | _ -> false
   in
   (* certificate-gated shared base scans: a consolidated batch delta
@@ -962,10 +1081,9 @@ let propagate db ~table change =
                       Verify.check_view_maintenance ~view:v.Catalog.view_name
                         ~context:"shared-scan batch maintenance"
                         ~incremental:rendered
-                        ~recomputed:(run_query db v.Catalog.definition)
+                        ~recomputed:(recompute db v.Catalog.definition)
                     | None -> ());
-                   v.Catalog.contents <- Some rendered;
-                   invalidate_view_indexes db v.Catalog.view_name
+                   v.Catalog.contents <- Some (Catalog.indexed rendered)
                  with Matview.Not_maintainable _ -> refresh_view_full db v
                in
                match maintain () with
@@ -1014,9 +1132,8 @@ let propagate db ~table change =
                  Verify.check_view_maintenance ~view:v.Catalog.view_name
                    ~context:"incremental sequence maintenance"
                    ~incremental:rendered
-                   ~recomputed:(run_query db v.Catalog.definition);
-               v.Catalog.contents <- Some rendered;
-               invalidate_view_indexes db v.Catalog.view_name
+                   ~recomputed:(recompute db v.Catalog.definition);
+               v.Catalog.contents <- Some (Catalog.indexed rendered)
              with Matview.Not_maintainable _ -> refresh_view_full db v)
           | None -> refresh_view_full db v
         in
@@ -1051,21 +1168,9 @@ let deriv_env db (d : Delta.t) : P.Deriv.env =
         | Some td -> signed_of_td td);
     eval =
       (fun logical ->
-        if Verify.enabled () then
-          Verify.check_plan ~context:"derived maintenance sub-plan" logical;
-        (* differential sanitizer coverage for the derived sub-plans,
-           with injected-fault budget suspended as in [plan_query] *)
-        Fault.with_suspended (fun () ->
-            P.Hooks.sanitize ~catalog:(catalog_view db) logical);
-        let opts =
-          {
-            P.Physical.window_strategy = db.cfg.window_strategy;
-            enable_hash_join = db.cfg.hash_join;
-            enable_index_join = db.cfg.index_join;
-          }
-        in
-        P.Physical.execute (catalog_view db)
-          (P.Physical.plan ~opts (catalog_view db) logical));
+        let rd = writer db in
+        P.Physical.execute (reader_catalog rd)
+          (plan_logical rd ~context:"derived maintenance sub-plan" logical));
     window_strategy = db.cfg.window_strategy;
   }
 
@@ -1099,7 +1204,7 @@ let maintain_derived db (d : Delta.t) =
                   List.fold_left
                     (fun acc t ->
                       match Catalog.find_table db.catalog t with
-                      | Some tbl -> acc + Array.length tbl.Catalog.rows
+                      | Some tbl -> acc + Array.length (Catalog.rows tbl)
                       | None -> acc)
                     0 sources
                 in
@@ -1107,7 +1212,7 @@ let maintain_derived db (d : Delta.t) =
                 | Some contents when weight < size ->
                   (match
                      Matview.Derived.apply_batch der ~env:(deriv_env db d)
-                       ~contents
+                       ~contents:(Catalog.relation contents)
                    with
                    | contents' ->
                      (* translation validation: the derived delta plan
@@ -1116,9 +1221,8 @@ let maintain_derived db (d : Delta.t) =
                        Verify.check_view_maintenance ~view:v.Catalog.view_name
                          ~context:"derived delta maintenance"
                          ~incremental:contents'
-                         ~recomputed:(run_query db v.Catalog.definition);
-                     v.Catalog.contents <- Some contents';
-                     invalidate_view_indexes db v.Catalog.view_name
+                         ~recomputed:(recompute db v.Catalog.definition);
+                     v.Catalog.contents <- Some (Catalog.indexed contents')
                    | exception P.Deriv.Divergence _ -> refresh_view_full db v)
                 | _ -> refresh_view_full db v
               in
@@ -1177,9 +1281,8 @@ let flush_delta db =
     let run () =
       let d = b.b_delta in
       log_undo db (fun () -> b.b_delta <- d);
-      (* clear before propagating: queries issued by the propagation
-         itself (view recomputation, verification) re-enter
-         [view_contents] and must not flush again *)
+      (* clear before propagating, so nothing the propagation reaches
+         can apply the same delta twice *)
       b.b_delta <- Delta.empty;
       List.iter
         (fun table ->
@@ -1206,7 +1309,27 @@ let flush_delta db =
           Undo.rollback u;
           raise e))
 
-let () = flush_delta_ref := flush_delta
+(* ---- User-facing reads ----
+
+   A read through the public API first propagates a pending batch
+   delta, so no pre-batch view result is ever served, then reads the
+   writer's state through the one read path. *)
+
+let plan_query db q =
+  flush_delta db;
+  read_plan (writer db) q
+
+let run_query db q =
+  flush_delta db;
+  recompute db q
+
+let binder_catalog db =
+  flush_delta db;
+  reader_binder (writer db)
+
+let catalog_view db =
+  flush_delta db;
+  reader_catalog (writer db)
 
 let commit_batch db =
   flush_delta db;
@@ -1272,7 +1395,7 @@ let coerce_value ty (v : Value.t) : Value.t =
 let insert_rows db ~table (new_rows : Row.t list) =
   let tbl = Catalog.table db.catalog table in
   log_table db tbl;
-  Catalog.set_rows tbl (Array.append tbl.Catalog.rows (Array.of_list new_rows));
+  Catalog.set_rows tbl (Array.append (Catalog.rows tbl) (Array.of_list new_rows));
   Fault.hit site_apply_insert;
   wal_log db (Wal.Insert { table; rows = Array.of_list new_rows });
   record_or_propagate db ~table (Rows_inserted new_rows)
@@ -1356,7 +1479,7 @@ let exec_update db ~table ~assignments ~where =
           fresh
         end
         else row)
-      tbl.Catalog.rows
+      (Catalog.rows tbl)
   in
   update_rows db ~table ~rows ~pairs:(List.rev !pairs);
   Done (Printf.sprintf "UPDATE %d" (List.length !pairs))
@@ -1374,7 +1497,7 @@ let exec_delete db ~table ~where =
   Array.iter
     (fun row ->
       if Expr.holds row pred then deleted := row :: !deleted else kept := row :: !kept)
-    tbl.Catalog.rows;
+    (Catalog.rows tbl);
   delete_rows db ~table
     ~kept:(Array.of_list (List.rev !kept))
     ~deleted:(List.rev !deleted);
@@ -1416,7 +1539,7 @@ let rec exec_statement_in_scope db (stmt : Ast.statement) : result =
          if Hashtbl.mem db.view_indexes (key name) then
            engine_error "index %s already exists" name;
          Hashtbl.replace db.view_indexes (key name)
-           { vi_view = table; vi_column = column; vi_kind = kind; vi_built = None };
+           { vi_view = table; vi_column = column; vi_kind = kind };
          mark_dirty db;
          log_undo db (fun () -> Hashtbl.remove db.view_indexes (key name));
          Done (Printf.sprintf "CREATE INDEX %s" name)
@@ -1446,8 +1569,18 @@ let rec exec_statement_in_scope db (stmt : Ast.statement) : result =
      | Some v ->
        let state = Hashtbl.find_opt db.view_states (key name) in
        let derived = Hashtbl.find_opt db.derived_views (key name) in
+       (* the view's indexes go with it: a registration outliving its
+          view would be checkpointed as DDL that cannot replay *)
+       let indexes =
+         Hashtbl.fold
+           (fun iname vi acc ->
+             if key vi.vi_view = key name then (iname, vi) :: acc else acc)
+           db.view_indexes []
+       in
+       List.iter (fun (iname, _) -> Hashtbl.remove db.view_indexes iname) indexes;
        log_undo db (fun () ->
            Catalog.restore_view db.catalog v;
+           List.iter (fun (iname, vi) -> Hashtbl.replace db.view_indexes iname vi) indexes;
            (match state with
             | Some s -> Hashtbl.replace db.view_states (key name) s
             | None -> Hashtbl.remove db.view_states (key name));
@@ -1466,32 +1599,22 @@ let rec exec_statement_in_scope db (stmt : Ast.statement) : result =
   | Ast.St_explain inner ->
     (match inner with
      | Ast.St_query q ->
-       let logical = P.Binder.bind_query (binder_catalog db) q in
-       let logical' =
-         P.Optimize.optimize
-           (match db.cfg.window_mode with
-            | `Native -> logical
-            | `Self_join -> P.Rewrite.window_to_self_join logical)
-       in
-       let opts =
-         {
-           P.Physical.window_strategy = db.cfg.window_strategy;
-           enable_hash_join = db.cfg.hash_join;
-           enable_index_join = db.cfg.index_join;
-         }
-       in
-       let physical = P.Physical.plan ~opts (catalog_view db) logical' in
+       flush_delta db;
+       let bound, optimized, physical = plan_stages (writer db) q in
        Done
          (Printf.sprintf "== logical ==\n%s== optimized ==\n%s== physical ==\n%s"
-            (P.Logical.to_string logical)
-            (P.Logical.to_string logical')
+            (P.Logical.to_string bound)
+            (P.Logical.to_string optimized)
             (P.Physical.to_string physical))
      | other -> exec_statement_in_scope db other)
   | Ast.St_explain_analyze inner ->
     (match inner with
      | Ast.St_query q ->
-       let physical = plan_query db q in
-       let _result, profile = P.Physical.execute_analyze (catalog_view db) physical in
+       flush_delta db;
+       let rd = writer db in
+       let _result, profile =
+         P.Physical.execute_analyze (reader_catalog rd) (read_plan rd q)
+       in
        Done (P.Physical.render_profile profile)
      | other -> exec_statement_in_scope db other)
   in
@@ -1502,8 +1625,8 @@ let rec exec_statement_in_scope db (stmt : Ast.statement) : result =
   result
 
 (* Every statement is atomic: on any exception the undo log restores
-   tables, view contents, view states and index caches to the
-   pre-statement snapshot before re-raising. *)
+   tables and view contents (each with its built indexes) and view
+   states to the pre-statement snapshot before re-raising. *)
 let exec_statement db stmt = with_undo db (fun () -> exec_statement_in_scope db stmt)
 
 (* Bulk-load rows into a table, bypassing the SQL layer (used by the
@@ -1517,7 +1640,7 @@ let load_table db ~table rows =
       with_undo db (fun () ->
           let tbl = Catalog.table db.catalog table in
           log_table db tbl;
-          Catalog.set_rows tbl (Array.append tbl.Catalog.rows rows);
+          Catalog.set_rows tbl (Array.append (Catalog.rows tbl) rows);
           wal_log db (Wal.Load { table; rows });
           record_or_propagate db ~table (Rows_inserted (Array.to_list rows))))
 
@@ -1549,10 +1672,15 @@ let exec_script db (sql : string) : result list =
   | Some e -> raise e
   | None -> List.rev !results
 
+(* A non-query is refused before it runs, so a write never commits
+   behind a read's error. *)
 let query db (sql : string) : Relation.t =
-  match exec db sql with
-  | Relation r -> r
-  | Done msg -> engine_error "expected a query, got: %s" msg
+  match Parser.statement sql with
+  | Ast.St_query _ as stmt ->
+    (match exec_statement db stmt with
+     | Relation r -> r
+     | Done _ -> assert false)
+  | stmt -> engine_error "expected a query, got: %s" (Pretty.statement stmt)
 
 let explain db (sql : string) : string =
   match exec_statement db (Ast.St_explain (Parser.statement sql)) with
@@ -1664,7 +1792,7 @@ let replay_delete db ~table rows =
       match take [] !pending with
       | Some rest -> pending := rest
       | None -> kept := row :: !kept)
-    tbl.Catalog.rows;
+    (Catalog.rows tbl);
   if !pending <> [] then engine_error "replay: DELETE pre-image missing from %s" table;
   delete_rows db ~table
     ~kept:(Array.of_list (List.rev !kept))
@@ -1672,7 +1800,7 @@ let replay_delete db ~table rows =
 
 let replay_update db ~table pairs =
   let tbl = Catalog.table db.catalog table in
-  let rows = Array.copy tbl.Catalog.rows in
+  let rows = Array.copy (Catalog.rows tbl) in
   (* consume a distinct row per pair: equal pre-images evaluate the same
      assignments, so any matching is multiset-equivalent — but a row
      already rewritten must not satisfy a later pair's pre-image *)
@@ -1716,7 +1844,10 @@ let rec replay_record db (record : Wal.record) =
    (the CRC-validated contents stay authoritative either way).
    Returns false when no state could be established. *)
 let rebuild_state db (view : Catalog.view) =
-  match Matview.recognize view.Catalog.definition, view.Catalog.contents with
+  match
+    ( Matview.recognize view.Catalog.definition,
+      Option.map Catalog.relation view.Catalog.contents )
+  with
   | Some spec, Some contents ->
     (match Catalog.find_table db.catalog spec.Matview.source with
      | None -> false
@@ -1769,7 +1900,7 @@ let restore_snapshot_into db ~quarantine (snap : Checkpoint.snapshot) =
               s_contents = Some contents;
               s_incremental;
             } ->
-          view.Catalog.contents <- Some contents;
+          view.Catalog.contents <- Some (Catalog.indexed contents);
           view.Catalog.stale <- s_stale;
           if s_stale then quarantine ~already:true view
           else if s_incremental then
@@ -1907,118 +2038,6 @@ let recover ?config dir =
 
 let open_durable ?config dir = fst (recover ?config dir)
 
-(* ---- Checkpoint ---- *)
-
-let checkpoint db =
-  if db.batch <> None then engine_error "checkpoint: a batch is open";
-  match db.durable with
-  | None -> engine_error "checkpoint: database has no directory (open it with open_durable)"
-  | Some d ->
-    check_degraded d;
-    let epoch' = d.epoch + 1 in
-    let by_name name_of a b = String.compare (key (name_of a)) (key (name_of b)) in
-    let tables =
-      Catalog.all_tables db.catalog
-      |> List.sort (by_name (fun (t : Catalog.table) -> t.Catalog.table_name))
-      |> List.map (fun (t : Catalog.table) ->
-             {
-               Checkpoint.t_name = t.Catalog.table_name;
-               t_schema = t.Catalog.schema;
-               t_rows = t.Catalog.rows;
-             })
-    in
-    let index_ddl =
-      let table_indexes =
-        Catalog.all_tables db.catalog
-        |> List.sort (by_name (fun (t : Catalog.table) -> t.Catalog.table_name))
-        |> List.concat_map (fun (t : Catalog.table) ->
-               t.Catalog.indexes
-               |> List.sort (by_name (fun (i : Catalog.index_def) -> i.Catalog.index_name))
-               |> List.map (fun (i : Catalog.index_def) ->
-                      Pretty.statement
-                        (Ast.St_create_index
-                           {
-                             name = i.Catalog.index_name;
-                             table = t.Catalog.table_name;
-                             column = i.Catalog.column;
-                             ordered = i.Catalog.kind = Index.Ordered;
-                           })))
-      in
-      let view_indexes =
-        Hashtbl.fold (fun name vi acc -> (name, vi) :: acc) db.view_indexes []
-        |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-        |> List.map (fun (name, vi) ->
-               Pretty.statement
-                 (Ast.St_create_index
-                    {
-                      name;
-                      table = vi.vi_view;
-                      column = vi.vi_column;
-                      ordered = vi.vi_kind = Index.Ordered;
-                    }))
-      in
-      table_indexes @ view_indexes
-    in
-    let views =
-      Catalog.all_views db.catalog
-      |> List.sort (by_name (fun (v : Catalog.view) -> v.Catalog.view_name))
-      |> List.map (fun (v : Catalog.view) ->
-             {
-               Checkpoint.v_name = v.Catalog.view_name;
-               v_materialized = v.Catalog.materialized;
-               v_sql = Pretty.query v.Catalog.definition;
-               v_state =
-                 (if not v.Catalog.materialized then `None
-                  else
-                    `Snap
-                      {
-                        Checkpoint.s_stale = v.Catalog.stale;
-                        s_contents = v.Catalog.contents;
-                        s_incremental =
-                          Hashtbl.mem db.view_states (key v.Catalog.view_name)
-                          || Hashtbl.mem db.derived_views
-                               (key v.Catalog.view_name);
-                      });
-             })
-    in
-    let lsn = d.base_lsn + d.appended in
-    (try Checkpoint.write ~dir:d.dir ~lsn ~epoch:epoch' ~tables ~index_ddl ~views
-     with e when is_enospc e ->
-       (* the tmp file is already removed; the old checkpoint + WAL are
-          intact, but the disk is full: stop taking writes *)
-       enter_degraded d "checkpoint failed: disk full";
-       raise (Degraded_error { reason = "checkpoint failed: disk full" }));
-    (* The snapshot is durable: install a fresh log for the new epoch.
-       From here on a failure is dangerous, not just inconvenient —
-       appending to the old-epoch log would be silently discarded at
-       recovery (its epoch is behind the new checkpoint's).  Any
-       failure therefore enters degraded mode carrying the pending
-       install, which the space probe finishes before lifting it. *)
-    (try
-       Fault.hit site_install;
-       let old = d.wal in
-       let wal = Wal.create (wal_path d.dir) ~epoch:epoch' in
-       (try Wal.close old with _ -> ());
-       d.wal <- wal;
-       d.epoch <- epoch';
-       d.base_lsn <- lsn;
-       d.appended <- 0
-     with
-     | Fault.Injected _ as e ->
-       (* a bare armed [checkpoint.install] simulates a crash here; the
-          harness closes and recovers, which handles the stale log *)
-       raise e
-     | e when recoverable_exn e ->
-       let reason =
-         Printf.sprintf "fresh WAL install failed after checkpoint: %s"
-           (Printexc.to_string e)
-       in
-       enter_degraded d reason;
-       d.pending_fresh <- Some (epoch', lsn);
-       raise (Degraded_error { reason }))
-
-let () = checkpoint_ref := checkpoint
-
 let set_checkpoint_every db n =
   match db.durable with
   | Some d -> d.checkpoint_every <- n
@@ -2059,195 +2078,57 @@ let apply_record db record = replay_record db record
    where the primary maintained it incrementally — same bag of rows,
    different order.  Likewise excludes whether an *incremental
    maintenance state* is present at all. *)
-let fingerprint_parts ~(tables : (string * Relation.t) list)
-    ~(views : (string * bool * Relation.t option) list) : string =
+let version_fingerprint (v : version) : string =
   let buf = Buffer.create 1024 in
   let render r = Buffer.add_string buf (Relation.render (Relation.sorted_by_all r)) in
-  List.sort (fun (a, _) (b, _) -> compare a b) tables
-  |> List.iter (fun (name, r) ->
-         Buffer.add_string buf (Printf.sprintf "table %s\n" name);
-         render r);
-  List.sort (fun (a, _, _) (b, _, _) -> compare a b) views
-  |> List.iter (fun (name, stale, contents) ->
-         Buffer.add_string buf (Printf.sprintf "view %s stale=%b\n" name stale);
-         match contents with
-         | Some r -> render r
-         | None -> ());
+  List.sort (fun a b -> compare a.vt_name b.vt_name) v.v_tables
+  |> List.iter (fun vt ->
+         Buffer.add_string buf (Printf.sprintf "table %s\n" vt.vt_name);
+         render (Catalog.relation vt.vt_data));
+  List.sort (fun a b -> compare a.vv_name b.vv_name) v.v_views
+  |> List.iter (fun vv ->
+         Buffer.add_string buf (Printf.sprintf "view %s stale=%b\n" vv.vv_name vv.vv_stale);
+         Option.iter (fun c -> render (Catalog.relation c)) vv.vv_contents);
   Buffer.contents buf
 
-let fingerprint db : string =
-  fingerprint_parts
-    ~tables:
-      (List.map
-         (fun (tbl : Catalog.table) ->
-           (tbl.Catalog.table_name, Catalog.table_relation tbl))
-         (Catalog.all_tables db.catalog))
-    ~views:
-      (List.map
-         (fun (v : Catalog.view) ->
-           (v.Catalog.view_name, v.Catalog.stale, v.Catalog.contents))
-         (Catalog.all_views db.catalog))
+let fingerprint db : string = version_fingerprint (capture_version db ~lsn:(tip_lsn db))
 
-(* ---- MVCC snapshots: acquisition and the frozen read path ----
+(* ---- MVCC snapshots ----
 
-   A snapshot wraps one published version.  Queries against it run the
-   same parse → bind → rewrite → optimize → plan → execute pipeline as
-   the live path, but resolve every relation against the version's
-   frozen pointers, so they can run on any domain while the single
-   writer keeps committing.  Two departures from [plan_query], both
-   deliberate: the differential sanitizer hook is skipped (it executes
-   against a process-global mutable hook and is not domain-safe), and a
-   quarantined view's heal is snapshot-local — computed from the frozen
-   base tables, memoized inside the snapshot, never written back. *)
+   A snapshot wraps one published version and reads it through the
+   shared read path, so it can run on any domain while the single
+   writer keeps committing.  A quarantined view heals snapshot-locally:
+   computed from the frozen base tables, memoized inside the snapshot,
+   never written back. *)
 
 type snapshot = {
   sn_db : t; (* release bookkeeping only: never read on the query path *)
-  sn_version : version;
-  sn_mu : Mutex.t; (* guards the two memo tables below *)
-  sn_heal : (string, Relation.t) Hashtbl.t; (* stale matviews, on demand *)
-  sn_index_memo : (string, Index.t option) Hashtbl.t; (* "rel\tcol" *)
+  sn_reader : reader;
   mutable sn_released : bool; (* guarded by [sn_db.mvcc.mv_mu] *)
 }
 
-let snap_locked sn f =
-  Mutex.lock sn.sn_mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock sn.sn_mu) f
-
-let snap_find_table sn name =
-  List.find_opt (fun vt -> key vt.vt_name = key name) sn.sn_version.v_tables
-
-let snap_find_view sn name =
-  List.find_opt (fun vv -> key vv.vv_name = key name) sn.sn_version.v_views
-
-let rec snap_view_contents sn name : Relation.t option =
-  match snap_find_view sn name with
-  | Some vv when vv.vv_materialized ->
-    if vv.vv_stale then begin
-      match snap_locked sn (fun () -> Hashtbl.find_opt sn.sn_heal (key name)) with
-      | Some r -> Some r
-      | None ->
-        (* recompute from the frozen tables outside the lock (heals can
-           nest); racing domains compute equal relations, first one in
-           wins *)
-        let r = snap_run_query sn vv.vv_definition in
-        Some
-          (snap_locked sn (fun () ->
-               match Hashtbl.find_opt sn.sn_heal (key name) with
-               | Some r' -> r'
-               | None ->
-                 Hashtbl.replace sn.sn_heal (key name) r;
-                 r))
-    end
-    else (
-      match vv.vv_contents with
-      | Some r -> Some r
-      | None -> engine_error "materialized view %s has no contents" name)
-  | _ -> None
-
-and snap_binder_catalog sn : P.Binder.catalog =
-  {
-    P.Binder.resolve_table =
-      (fun name ->
-        match snap_find_table sn name with
-        | Some vt -> Some vt.vt_schema
-        | None ->
-          (match snap_view_contents sn name with
-           | Some r -> Some (Relation.schema r)
-           | None -> None));
-    resolve_view =
-      (fun name ->
-        match snap_find_view sn name with
-        | Some vv when not vv.vv_materialized -> Some vv.vv_definition
-        | _ -> None);
-  }
-
-(* Lazily build (and memoize) the index the live path would have: a
-   secondary index declared on a frozen table, or a view index from the
-   version's registry, keyed to the frozen contents. *)
-and snap_index sn ~relname ~column : Index.t option =
-  let memo_key = key relname ^ "\t" ^ key column in
-  match snap_locked sn (fun () -> Hashtbl.find_opt sn.sn_index_memo memo_key) with
-  | Some cached -> cached
-  | None ->
-    let built =
-      match snap_find_table sn relname with
-      | Some vt ->
-        (match
-           List.find_opt (fun (col, _) -> key col = key column) vt.vt_indexes
-         with
-         | None -> None
-         | Some (_, kind) ->
-           (match Schema.find_opt vt.vt_schema column with
-            | None -> None
-            | Some ci -> Some (Index.build kind vt.vt_rows ~key_col:ci)))
-      | None ->
-        (match
-           List.find_opt
-             (fun (view, col, _) -> key view = key relname && key col = key column)
-             sn.sn_version.v_view_indexes
-         with
-         | None -> None
-         | Some (_, _, kind) ->
-           (match snap_view_contents sn relname with
-            | None -> None
-            | Some r ->
-              (match Schema.find_opt (Relation.schema r) column with
-               | None -> None
-               | Some ci -> Some (Index.build kind (Relation.rows r) ~key_col:ci))))
-    in
-    snap_locked sn (fun () ->
-        match Hashtbl.find_opt sn.sn_index_memo memo_key with
-        | Some cached -> cached
-        | None ->
-          Hashtbl.replace sn.sn_index_memo memo_key built;
-          built)
-
-and snap_catalog_view sn : P.Physical.catalog_view =
-  {
-    P.Physical.table_contents =
-      (fun name ->
-        match snap_find_table sn name with
-        | Some vt -> Relation.of_array vt.vt_schema vt.vt_rows
-        | None ->
-          (match snap_view_contents sn name with
-           | Some r -> r
-           | None -> engine_error "unknown relation %s" name));
-    table_index = (fun ~table ~column -> snap_index sn ~relname:table ~column);
-  }
-
-and snap_plan_query sn (q : Ast.query) : P.Physical.t =
-  let cfg = sn.sn_version.v_cfg in
-  let logical = P.Binder.bind_query (snap_binder_catalog sn) q in
-  if Verify.enabled () then Verify.check_plan ~context:"bound plan" logical;
-  let logical =
-    match cfg.window_mode with
-    | `Native -> logical
-    | `Self_join -> P.Rewrite.window_to_self_join logical
-  in
-  let logical = P.Optimize.optimize logical in
-  if Verify.enabled () then Verify.check_plan ~context:"optimized plan" logical;
-  let opts =
-    {
-      P.Physical.window_strategy = cfg.window_strategy;
-      enable_hash_join = cfg.hash_join;
-      enable_index_join = cfg.index_join;
-    }
-  in
-  P.Physical.plan ~opts (snap_catalog_view sn) logical
-
-and snap_run_query sn (q : Ast.query) : Relation.t =
-  P.Physical.execute (snap_catalog_view sn) (snap_plan_query sn q)
-
-let snap_check_live sn =
-  if sn.sn_released then engine_error "snapshot is closed"
+let local_heal () =
+  let mu = Mutex.create () in
+  let healed : (string, Catalog.indexed) Hashtbl.t = Hashtbl.create 4 in
+  fun rd vv ->
+    let k = key vv.vv_name in
+    match Mutex.protect mu (fun () -> Hashtbl.find_opt healed k) with
+    | Some c -> c
+    | None ->
+      (* recompute outside the lock (heals can nest); racing domains
+         compute equal relations, the first one in wins *)
+      let c = Catalog.indexed (read_query rd vv.vv_definition) in
+      Mutex.protect mu (fun () ->
+          match Hashtbl.find_opt healed k with
+          | Some first -> first
+          | None ->
+            Hashtbl.replace healed k c;
+            c)
 
 let make_snapshot db v =
   {
     sn_db = db;
-    sn_version = v;
-    sn_mu = Mutex.create ();
-    sn_heal = Hashtbl.create 4;
-    sn_index_memo = Hashtbl.create 4;
+    sn_reader = { rd_version = v; rd_heal = local_heal (); rd_sanitize = false };
     sn_released = false;
   }
 
@@ -2284,7 +2165,7 @@ let release db sn =
   Mutex.lock mv.mv_mu;
   if not sn.sn_released then begin
     sn.sn_released <- true;
-    sn.sn_version.v_refs <- sn.sn_version.v_refs - 1;
+    sn.sn_reader.rd_version.v_refs <- sn.sn_reader.rd_version.v_refs - 1;
     sweep_versions mv
   end;
   Mutex.unlock mv.mv_mu
@@ -2314,33 +2195,23 @@ let open_snapshots db =
 module Snapshot = struct
   type t = snapshot
 
-  let lsn sn = sn.sn_version.v_lsn
+  let lsn sn = sn.sn_reader.rd_version.v_lsn
   let released sn = sn.sn_released
 
+  let reader sn =
+    if sn.sn_released then engine_error "snapshot is closed";
+    sn.sn_reader
+
   let query sn sql : Relation.t =
-    snap_check_live sn;
+    let rd = reader sn in
     match Parser.statement sql with
-    | Ast.St_query q -> snap_run_query sn q
+    | Ast.St_query q -> read_query rd q
     | stmt ->
       engine_error "snapshot is read-only: %s is not a query"
         (Pretty.statement stmt)
 
-  let run_query sn q =
-    snap_check_live sn;
-    snap_run_query sn q
-
-  let fingerprint sn : string =
-    snap_check_live sn;
-    fingerprint_parts
-      ~tables:
-        (List.map
-           (fun vt -> (vt.vt_name, Relation.of_array vt.vt_schema vt.vt_rows))
-           sn.sn_version.v_tables)
-      ~views:
-        (List.map
-           (fun vv -> (vv.vv_name, vv.vv_stale, vv.vv_contents))
-           sn.sn_version.v_views)
-
+  let run_query sn q = read_query (reader sn) q
+  let fingerprint sn : string = version_fingerprint (reader sn).rd_version
   let close (sn : t) = release sn.sn_db sn
 end
 

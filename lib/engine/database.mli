@@ -90,8 +90,9 @@ val config : t -> config
 (** {1 Execution}
 
     Every statement is {e atomic}: on any exception an undo log restores
-    tables, view contents, view states and index caches to the
-    pre-statement snapshot before the exception re-raises. *)
+    tables and view contents (each with the indexes built over it) and
+    view states to the pre-statement snapshot before the exception
+    re-raises. *)
 
 (** Execute one statement.
     @raise Engine_error / Binder.Bind_error / Parser.Parse_error /
@@ -120,14 +121,22 @@ val exec_script : t -> string -> result list
     joining the enclosing scope. *)
 val with_batch : t -> (unit -> 'a) -> 'a
 
-(** Execute a query statement.  @raise Engine_error if it is not one. *)
+(** Execute a query statement.  @raise Engine_error, before running
+    anything, if it is not one. *)
 val query : t -> string -> Relation.t
 
 (** Logical and physical plan text. *)
 val explain : t -> string -> string
 
 val exec_statement : t -> Ast.statement -> result
+
+(** Plan / run a query over the writer's current state.  Like every
+    user-facing read ({!query}, EXPLAIN, {!binder_catalog},
+    {!catalog_view}) these first propagate a pending batch delta, then
+    take the same read path as {!Snapshot.query}; a quarantined view
+    they touch heals by full refresh into the live database. *)
 val run_query : t -> Ast.query -> Relation.t
+
 val plan_query : t -> Ast.query -> P.Physical.t
 
 (** Bulk-load rows, bypassing SQL parsing; materialized views on the
@@ -291,7 +300,8 @@ val view_state : t -> string -> Matview.state option
     batch delta first, like {!view_state}. *)
 val share_classes : t -> table:string -> string list list
 
-(** The binder/executor adapters (exposed for the advisor and tests). *)
+(** The binder/executor adapters over the writer's state at the call
+    (exposed for the advisor, tools and tests). *)
 val binder_catalog : t -> P.Binder.catalog
 
 val catalog_view : t -> P.Physical.catalog_view
@@ -303,7 +313,8 @@ val catalog_view : t -> P.Physical.catalog_view
     logical state.  Publication captures pointers (row arrays and view
     contents are replaced wholesale by every mutation path, never
     mutated in place), so the hot path pays O(tables + views), not a
-    deep copy.  A bounded window of recent versions stays acquirable;
+    deep copy.  A built index is cached beside the array it indexes,
+    so the writer and every snapshot of a version share it.  A bounded window of recent versions stays acquirable;
     an acquired snapshot pins its version beyond the window until
     released, so neither eviction nor {!close} invalidates it.
 
@@ -320,9 +331,9 @@ module Snapshot : sig
       in-memory database it is a session-local commit counter. *)
   val lsn : t -> int
 
-  (** Run one query statement against the frozen state: the regular
-      plan pipeline over the version's tables, view contents and
-      indexes.  Safe to call from any domain.  A quarantined view heals
+  (** Run one query statement against the frozen state: the same read
+      path the writer uses, over the version's tables, view contents
+      and indexes.  Safe to call from any domain.  A quarantined view heals
       {e snapshot-locally} (recomputed from the frozen base tables,
       memoized in the snapshot, never written back).
       @raise Engine_error on a non-query statement or a closed

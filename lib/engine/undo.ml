@@ -2,8 +2,8 @@
 
    Every mutation the engine performs while executing one statement is
    preceded by logging a restore action that reinstates the prior state
-   (a captured rows array, view contents, a deep-copied maintenance
-   state, an index cache).  On success the log is dropped; on any
+   (a captured rows array or view contents, each with the indexes built
+   over it, a deep-copied maintenance state).  On success the log is dropped; on any
    exception it is replayed newest-first, making [Database.exec]
    all-or-nothing.
 

@@ -5,8 +5,10 @@
    sequence position):
 
    - [Hash]: equality lookups, O(1) expected.
-   - [Ordered]: a sorted (key, row-id) array answering point and range
-     lookups by binary search, standing in for DB2's B-tree. *)
+   - [Ordered]: the row ids sorted by key, answering point and range
+     lookups by binary search through the indexed rows (which it shares,
+     never copies), standing in for DB2's B-tree.  One machine word per
+     row keeps it cheap to retain beside every version of an array. *)
 
 type kind =
   | Hash
@@ -14,7 +16,7 @@ type kind =
 
 type t =
   | Hash_index of (Value.t, int list) Hashtbl.t
-  | Ordered_index of (Value.t * int) array
+  | Ordered_index of { rows : Row.t array; key_col : int; ids : int array }
 
 let kind_of = function
   | Hash_index _ -> Hash
@@ -39,44 +41,28 @@ let build kind (rows : Row.t array) ~key_col : t =
       rows;
     Hash_index tbl
   | Ordered ->
-    let entries =
-      Array.to_list rows
-      |> List.mapi (fun i row -> (Row.get row key_col, i))
-      |> List.filter (fun (k, _) -> not (Value.is_null k))
-      |> Array.of_list
+    let key i = Row.get rows.(i) key_col in
+    let ids =
+      Array.of_seq
+        (Seq.filter (fun i -> not (Value.is_null (key i))) (Seq.init (Array.length rows) Fun.id))
     in
-    Array.sort
-      (fun (a, i) (b, j) ->
-        let c = Value.compare a b in
-        if c <> 0 then c else Int.compare i j)
-      entries;
-    Ordered_index entries
+    (* stable: equal keys keep row-id order *)
+    Array.stable_sort (fun i j -> Value.compare (key i) (key j)) ids;
+    Ordered_index { rows; key_col; ids }
 
-(* First position with key >= k. *)
-let lower_bound entries k =
+(* First position in [ids] whose key is >= k ([strict]: > k). *)
+let bound ~strict rows key_col ids k =
   let rec go lo hi =
     if lo >= hi then lo
     else
       let mid = (lo + hi) / 2 in
-      if Value.compare (fst entries.(mid)) k < 0 then go (mid + 1) hi else go lo mid
+      let c = Value.compare (Row.get rows.(ids.(mid)) key_col) k in
+      if c < 0 || (strict && c = 0) then go (mid + 1) hi else go lo mid
   in
-  go 0 (Array.length entries)
+  go 0 (Array.length ids)
 
-(* First position with key > k. *)
-let upper_bound entries k =
-  let rec go lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if Value.compare (fst entries.(mid)) k <= 0 then go (mid + 1) hi else go lo mid
-  in
-  go 0 (Array.length entries)
-
-let collect_ids entries ~start ~stop =
-  let rec collect i acc =
-    if i < start then acc else collect (i - 1) (snd entries.(i) :: acc)
-  in
-  if start >= stop then [] else collect (stop - 1) []
+let collect_ids ids ~start ~stop =
+  if start >= stop then [] else Array.to_list (Array.sub ids start (stop - start))
 
 (* Row ids whose key equals [k]. *)
 let lookup_eq t k =
@@ -84,17 +70,21 @@ let lookup_eq t k =
   else
     match t with
     | Hash_index tbl -> Option.value ~default:[] (Hashtbl.find_opt tbl k)
-    | Ordered_index entries ->
-      collect_ids entries ~start:(lower_bound entries k) ~stop:(upper_bound entries k)
+    | Ordered_index { rows; key_col; ids } ->
+      collect_ids ids
+        ~start:(bound ~strict:false rows key_col ids k)
+        ~stop:(bound ~strict:true rows key_col ids k)
 
 (* Row ids whose key lies in [lo, hi] (inclusive; either bound optional). *)
 let lookup_range t ?lo ?hi () =
   match t with
   | Hash_index _ -> invalid_arg "Index.lookup_range: hash indexes answer equality only"
-  | Ordered_index entries ->
-    let start = match lo with None -> 0 | Some v -> lower_bound entries v in
-    let stop = match hi with None -> Array.length entries | Some v -> upper_bound entries v in
-    collect_ids entries ~start ~stop
+  | Ordered_index { rows; key_col; ids } ->
+    let start = match lo with None -> 0 | Some v -> bound ~strict:false rows key_col ids v in
+    let stop =
+      match hi with None -> Array.length ids | Some v -> bound ~strict:true rows key_col ids v
+    in
+    collect_ids ids ~start ~stop
 
 let supports_range t =
   match t with Ordered_index _ -> true | Hash_index _ -> false

@@ -30,8 +30,6 @@ let replica_error fmt = Format.kasprintf (fun s -> raise (Replica_error s)) fmt
 let site_apply = Fault.define "replica.apply"
 let site_bootstrap = Fault.define "replica.bootstrap"
 
-type lag = Staleness.lag = { records : int; bytes : int }
-
 type status =
   | Syncing  (** attached, nothing applied yet: the state is LSN 0 *)
   | Ready

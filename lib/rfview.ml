@@ -47,8 +47,6 @@ end
 module Session = struct
   type t = { db : Db.t; mutable report : Db.recovery_report option }
 
-  type lag = Staleness.lag = { records : int; bytes : int }
-
   type health = Db.health =
     | Healthy
     | Degraded of { reason : string; rejected_writes : int }
@@ -174,22 +172,10 @@ module Session = struct
     | Some n when n < 0 -> invalid_arg "Session.exec_script: negative batch"
     | Some n -> wrap session (fun () -> exec_script_chunked session n sql)
 
-  (* [query] is sugar for "snapshot at tip": when the session is quiescent
-     (no open batch, no stale views awaiting heal-on-read) the read runs
-     against the freshest published MVCC version, exactly as a concurrent
-     reader domain would see it.  Inside a batch (read-your-writes) or with
-     stale views pending (heal-on-read must commit into the live database)
-     the read takes the direct path instead. *)
-  let query session sql =
-    wrap session (fun () ->
-        if Db.in_batch session.db || Db.stale_views session.db <> [] then
-          Db.query session.db sql
-        else begin
-          let sn = Db.snapshot session.db in
-          Fun.protect
-            ~finally:(fun () -> Db.Snapshot.close sn)
-            (fun () -> Db.Snapshot.query sn sql)
-        end)
+  (* The writer's state through the engine's one read path: a batch
+     reads its own writes and a quarantined view heals into the live
+     database; a quiescent read answers as a snapshot at the tip would. *)
+  let query session sql = wrap session (fun () -> Db.query session.db sql)
 
   let with_batch session f = Db.with_batch session.db f
   let checkpoint session = wrap session (fun () -> Db.checkpoint session.db)

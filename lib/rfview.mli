@@ -78,13 +78,6 @@ module Session : sig
   (** A handle on one open database (in-memory or durable). *)
   type t
 
-  (** Alias of {!Staleness.lag}, kept for one release.
-      @deprecated use {!Staleness.lag} *)
-  type lag = Staleness.lag = {
-    records : int;  (** LSNs behind the primary tip *)
-    bytes : int;  (** feed bytes not yet consumed *)
-  }
-
   (** Storage health of a durable session.  ENOSPC during a WAL commit
       or checkpoint never corrupts state: the session enters a
       read-only degraded mode (reads keep serving, writes fail with
@@ -157,15 +150,14 @@ module Session : sig
       the failing one have committed. *)
   val exec_script : ?batch:int -> t -> string -> (result list, error) Stdlib.result
 
-  (** Execute a query statement and return its rows.
+  (** Execute a query statement and return its rows; a non-query is
+      refused before it runs.
 
-      Sugar for "snapshot at tip": when the session is quiescent (no
-      open batch, no quarantined views awaiting heal-on-read) the read
-      runs against the freshest published MVCC version — exactly what
-      a concurrent {!Snapshot.snapshot} taken now would see.  Inside
-      {!with_batch} the direct path preserves read-your-writes; with
-      stale views pending, the direct path heals them into the live
-      database first. *)
+      Reads the session's own state through the same read path a
+      {!Snapshot} uses: inside {!with_batch} it sees the batch's
+      writes, and a quarantined view heals into the live database.  A
+      quiescent read answers exactly as a {!Snapshot.snapshot} taken
+      now would. *)
   val query : t -> string -> (Relation.t, error) Stdlib.result
 
   (** Execute one already-parsed statement (the typed sibling of
@@ -249,7 +241,7 @@ module Session : sig
   val replica_applied_lsn : replica -> int
 
   (** Lag relative to a primary tip (see {!lsn}). *)
-  val replica_lag : replica -> tip:int -> lag
+  val replica_lag : replica -> tip:int -> Staleness.lag
 
   val replica_status :
     replica -> [ `Syncing | `Ready | `Quarantined of int * string ]

@@ -180,7 +180,7 @@ let check_views db ~context =
   List.iter
     (fun (v : Catalog.view) ->
       if v.Catalog.materialized && not v.Catalog.stale then
-        match v.Catalog.contents with
+        match Option.map Catalog.relation v.Catalog.contents with
         | None -> divergence "%s: view %s has no contents" context v.Catalog.view_name
         | Some contents ->
           let recomputed = Db.run_query db v.Catalog.definition in
@@ -212,7 +212,7 @@ let heal_stale db ~context =
 (* ---- The harness ---- *)
 
 let run ?(config = default_config) ?inject ?(sanitize = false) () : report =
-  (* the differential sanitizer hooks into plan_query, so enabling it
+  (* the differential sanitizer hooks into the writer's read path, so enabling it
      here covers every query the harness runs: cache probes, view
      recomputation checks and heal reads *)
   let sanitize_was = Rfview_analysis.Sanitize.enabled () in
@@ -1022,7 +1022,7 @@ let fingerprint (db : Db.t) : string =
               v.Catalog.stale
               (Db.is_incrementally_maintained db v.Catalog.view_name));
          match v.Catalog.contents with
-         | Some r -> Buffer.add_string buf (Relation.render r)
+         | Some c -> Buffer.add_string buf (Relation.render (Catalog.relation c))
          | None -> ());
   Buffer.contents buf
 

@@ -71,7 +71,7 @@ let test_roundtrip_wal_only () =
     (Db.is_incrementally_maintained db' "v");
   (* the restored index DDL must be live again *)
   Alcotest.(check bool) "index restored" true
-    (Catalog.table_index (Db.catalog db') ~table:"seq" ~column:"pos" <> None);
+    ((Db.catalog_view db').table_index ~table:"seq" ~column:"pos" <> None);
   Db.close db'
 
 (* DML deltas are logged as binary rows, not SQL text: values whose
@@ -124,6 +124,40 @@ let test_auto_checkpoint () =
      Alcotest.failf "expected an automatic checkpoint, got epoch %s"
        (match other with None -> "none" | Some e -> string_of_int e));
   check_same_bag "base table" base (dump db');
+  Db.close db'
+
+(* Regression: DROP VIEW used to leave its view indexes registered, so
+   the next checkpoint wrote index DDL on a missing view and the
+   directory no longer recovered. *)
+let test_drop_view_drops_its_indexes () =
+  let dir = fresh_dir "dropview" in
+  let db = Db.open_durable dir in
+  ignore
+    (Db.exec_script db
+       "CREATE TABLE t (pos INT, val FLOAT); INSERT INTO t VALUES (1, 1.0), \
+        (2, 2.0), (3, 3.0); CREATE MATERIALIZED VIEW v AS SELECT pos, \
+        SUM(val) OVER (ORDER BY pos ROWS UNBOUNDED PRECEDING) AS s FROM t; \
+        CREATE INDEX vi ON v (pos)");
+  (* a rolled-back DROP VIEW keeps the view and its index *)
+  (try
+     Db.with_batch db (fun () ->
+         ignore (Db.exec db "DROP VIEW v");
+         failwith "abort the batch")
+   with Failure _ -> ());
+  Alcotest.(check bool) "index survives a rolled-back drop" true
+    ((Db.catalog_view db).table_index ~table:"v" ~column:"pos" <> None);
+  ignore (Db.exec db "DROP VIEW v");
+  Db.checkpoint db;
+  Db.close db;
+  let db', r = Db.recover dir in
+  Alcotest.(check (option int)) "checkpoint recovered" (Some 1) r.Db.checkpoint_epoch;
+  ignore
+    (Db.exec db'
+       "CREATE MATERIALIZED VIEW v AS SELECT pos, SUM(val) OVER (ORDER BY pos \
+        ROWS UNBOUNDED PRECEDING) AS s FROM t");
+  ignore (Db.exec db' "CREATE INDEX vi ON v (pos)");
+  Alcotest.(check bool) "re-created index is live" true
+    ((Db.catalog_view db').table_index ~table:"v" ~column:"pos" <> None);
   Db.close db'
 
 (* ---- Damage ---- *)
@@ -434,6 +468,8 @@ let () =
           Alcotest.test_case "float precision" `Quick test_roundtrip_float_precision;
           Alcotest.test_case "checkpoint + suffix" `Quick test_checkpoint_and_suffix;
           Alcotest.test_case "auto checkpoint" `Quick test_auto_checkpoint;
+          Alcotest.test_case "DROP VIEW drops its indexes" `Quick
+            test_drop_view_drops_its_indexes;
         ] );
       ( "damage",
         [

@@ -263,7 +263,8 @@ let test_quarantine_isolates_views () =
           if not view.Catalog.stale then
             match view.Catalog.contents with
             | Some c ->
-              check_same_bag (view.Catalog.view_name ^ " fresh and correct") c
+              check_same_bag (view.Catalog.view_name ^ " fresh and correct")
+                (Catalog.relation c)
                 (Db.run_query db view.Catalog.definition)
             | None -> Alcotest.fail "materialized view without contents")
         (Catalog.all_views (Db.catalog db)))

@@ -267,6 +267,158 @@ let arb_batch_values =
 let qtest ~count name arb prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb prop)
 
+(* ---- The shared read path and its index cache ----
+
+   The writer, every snapshot and every reader domain read through one
+   implementation, and a built index is cached beside the array it
+   indexes.  Index-join view slices (the paper's Fig. 2 access path)
+   must therefore agree everywhere after every commit, and a snapshot
+   pinned commits ago must keep its answers: a cached index never
+   serves a newer array. *)
+
+let slice_queries =
+  [
+    (* range probe into the view's ordered index *)
+    "SELECT b.pos, v.pos, v.s FROM seq b JOIN v ON v.pos BETWEEN b.pos AND \
+     b.pos + 2";
+    (* equality probe into the table's hash index *)
+    "SELECT b.pos, t.val FROM v b JOIN seq t ON t.pos = b.pos";
+  ]
+
+let indexed_fixture () =
+  let db = db_with_view [ 1.; 2.; 3.; 4. ] in
+  ignore (Db.exec db "CREATE INDEX seq_pos ON seq (pos) USING HASH");
+  ignore (Db.exec db "CREATE INDEX v_pos ON v (pos) USING ORDERED");
+  db
+
+(* Answers through the writer, through a tip snapshot read from
+   [test_domains] domains at once, and recomputed without index joins;
+   fails unless all agree. *)
+let check_slices db ~context =
+  let sn = Db.snapshot db in
+  let from_domains =
+    List.init test_domains (fun _ ->
+        Domain.spawn (fun () -> List.map (Db.Snapshot.query sn) slice_queries))
+    |> List.map Domain.join
+  in
+  Db.Snapshot.close sn;
+  let writer = List.map (Db.run_query db) (List.map Rfview_sql.Parser.query slice_queries) in
+  let cfg = Db.config db in
+  Db.reconfigure db { cfg with index_join = false };
+  let recomputed = List.map (Db.query db) slice_queries in
+  Db.reconfigure db cfg;
+  List.iteri
+    (fun i sql ->
+      let w = List.nth writer i in
+      if not (Relation.equal_bag w (List.nth recomputed i)) then
+        QCheck.Test.fail_reportf "%s: writer disagrees with recomputation on %s"
+          context sql;
+      List.iter
+        (fun answers ->
+          if not (Relation.equal_ordered w (List.nth answers i)) then
+            QCheck.Test.fail_reportf "%s: tip snapshot disagrees with the writer on %s"
+              context sql)
+        from_domains)
+    slice_queries;
+  writer
+
+type step =
+  | Insert of int * int
+  | Delete of int
+  | Set_val of int * int
+  | Move of int * int (* rewrites the indexed key *)
+  | Refresh
+  | Batch of step list
+
+let rec sql_of = function
+  | Insert (p, x) -> [ Printf.sprintf "INSERT INTO seq VALUES (%d, %d)" p x ]
+  | Delete p -> [ Printf.sprintf "DELETE FROM seq WHERE pos = %d" p ]
+  | Set_val (p, x) -> [ Printf.sprintf "UPDATE seq SET val = %d WHERE pos = %d" x p ]
+  | Move (p, q) -> [ Printf.sprintf "UPDATE seq SET pos = %d WHERE pos = %d" q p ]
+  | Refresh -> [ "REFRESH MATERIALIZED VIEW v" ]
+  | Batch steps -> List.concat_map sql_of steps
+
+let gen_step =
+  QCheck.Gen.(
+    let pos = int_range 0 12 and x = int_range (-50) 50 in
+    let single =
+      frequency
+        [
+          (4, map2 (fun p x -> Insert (p, x)) pos x);
+          (2, map (fun p -> Delete p) pos);
+          (2, map2 (fun p x -> Set_val (p, x)) pos x);
+          (2, map2 (fun p q -> Move (p, q)) pos pos);
+          (1, return Refresh);
+        ]
+    in
+    frequency [ (4, single); (1, map (fun l -> Batch l) (list_size (int_range 2 4) single)) ])
+
+let arb_steps =
+  QCheck.make
+    QCheck.Gen.(list_size (int_range 1 10) gen_step)
+    ~print:(fun steps -> String.concat "; " (List.concat_map sql_of steps))
+
+let prop_shared_index_cache steps =
+  let db = indexed_fixture () in
+  (* pin the starting state, then one more snapshot every third commit *)
+  let pinned = ref [] in
+  let pin ~context =
+    let answers = check_slices db ~context in
+    pinned := (Db.snapshot db, answers) :: !pinned
+  in
+  pin ~context:"initial state";
+  List.iteri
+    (fun i step ->
+      (match sql_of step with
+       | [ sql ] -> ignore (Db.exec db sql)
+       | stmts -> Db.with_batch db (fun () -> List.iter (fun s -> ignore (Db.exec db s)) stmts));
+      let context = Printf.sprintf "after commit %d" (i + 1) in
+      if (i + 1) mod 3 = 0 then pin ~context else ignore (check_slices db ~context);
+      List.iter
+        (fun (sn, answers) ->
+          List.iter2
+            (fun sql answer ->
+              if not (Relation.equal_ordered answer (Db.Snapshot.query sn sql)) then
+                QCheck.Test.fail_reportf
+                  "%s: snapshot pinned at lsn %d changed its answer to %s" context
+                  (Db.Snapshot.lsn sn) sql)
+            slice_queries answers)
+        !pinned)
+    steps;
+  List.iter (fun (sn, _) -> Db.Snapshot.close sn) !pinned;
+  true
+
+let contains s sub =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
+(* The slices must really take the index access paths under test. *)
+let test_index_join_plans () =
+  let db = indexed_fixture () in
+  List.iter2
+    (fun sql access ->
+      Alcotest.(check bool) (access ^ " is an index join") true
+        (contains (Db.explain db sql) access))
+    slice_queries [ "index(v.pos range)"; "index(seq.pos eq)" ]
+
+(* A statement rolled back after the indexes were built restores each
+   array together with its cache. *)
+let test_rollback_keeps_index_correct () =
+  with_clean_faults (fun () ->
+      let db = indexed_fixture () in
+      let before = check_slices db ~context:"before the fault" in
+      Fault.arm "database.apply_update" Fault.Always;
+      (match Db.exec db "UPDATE seq SET pos = pos + 100 WHERE pos <= 2" with
+       | _ -> Alcotest.fail "the armed update must roll back"
+       | exception Fault.Injected _ -> ());
+      Fault.disarm "database.apply_update";
+      let after = check_slices db ~context:"after the rollback" in
+      Alcotest.(check bool) "rolled-back update left every answer unchanged" true
+        (List.for_all2 Relation.equal_ordered before after);
+      ignore (Db.exec db "UPDATE seq SET pos = pos + 100 WHERE pos <= 2");
+      ignore (check_slices db ~context:"after the retried update"))
+
 (* ---- Concurrent chaos: every read is a true historical state ---- *)
 
 (* One writer domain commits random mutations; [test_domains] reader
@@ -390,6 +542,14 @@ let () =
             test_facade_snapshot_at_stale_error;
           qtest ~count:100 "snapshot never sees an open batch"
             arb_batch_values prop_snapshot_never_sees_open_batch;
+        ] );
+      ( "index cache",
+        [
+          Alcotest.test_case "slices are index joins" `Quick test_index_join_plans;
+          qtest ~count:40 "writer, tip and pinned snapshots agree" arb_steps
+            prop_shared_index_cache;
+          Alcotest.test_case "rollback keeps index lookups correct" `Quick
+            test_rollback_keeps_index_correct;
         ] );
       ( "concurrency",
         [

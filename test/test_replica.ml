@@ -385,7 +385,7 @@ let test_stale_bounded_reads () =
    | Error (Replica.Stale { applied_lsn; tip_lsn; lag }) ->
      Alcotest.(check int) "stale applied lsn" at_sync applied_lsn;
      Alcotest.(check int) "stale tip" tip tip_lsn;
-     Alcotest.(check int) "record lag" (tip - at_sync) lag.Replica.records
+     Alcotest.(check int) "record lag" (tip - at_sync) lag.Rfview_engine.Staleness.records
    | Ok _ -> Alcotest.fail "bound 0 served a lagging read"
    | Error (Replica.Unavailable m) -> Alcotest.failf "unavailable: %s" m);
   (* a loose bound serves the OLD state, tagged honestly *)
