@@ -97,9 +97,9 @@ serve-smoke:
 	rm -rf _serve_smoke
 
 # Scaled-down run of the delta-maintenance experiment (batched vs
-# per-row vs full-refresh propagation): asserts the modes agree
+# per-statement vs full-refresh propagation): asserts the modes agree
 # bit-for-bit, writes BENCH_delta.json, and fails unless the report is
-# well-formed.  Then the generalized-IVM experiment (derived delta
+# well-formed and its acceptance gate passed.  Then the generalized-IVM experiment (derived delta
 # plans vs full refresh on join/GROUP BY views), writing BENCH_IVM.json,
 # the scan-sharing experiment (certified shared base scans vs per-view
 # batched maintenance, bit-identical fingerprints), writing
@@ -110,6 +110,8 @@ bench-smoke:
 	dune exec bench/main.exe -- delta --smoke
 	@grep -q '"acceptance"' BENCH_delta.json && grep -q '"speedup"' BENCH_delta.json \
 	  && echo "BENCH_delta.json well-formed"
+	@if grep -q '"pass": false' BENCH_delta.json; then \
+	  echo "BENCH_delta.json: acceptance failed"; exit 1; fi
 	dune exec bench/main.exe -- delta-ivm --smoke
 	@grep -q '"acceptance"' BENCH_IVM.json && grep -q '"speedup"' BENCH_IVM.json \
 	  && echo "BENCH_IVM.json well-formed"

@@ -27,6 +27,8 @@ let raw_get r i = if i < 1 || i > r.n then 0. else r.data.(i - 1)
 
 let raw_to_array r = Array.copy r.data
 
+let raw_blit r ~pos dst ~dst_pos ~len = Array.blit r.data (pos - 1) dst dst_pos len
+
 (* Raw-data editing used by the maintenance rules (§2.3). *)
 let raw_update r ~k ~value =
   if k < 1 || k > r.n then invalid_arg "Seqdata.raw_update: position out of range";
@@ -92,6 +94,23 @@ let get t k =
 
 (* All stored values, ascending by position. *)
 let to_array t = Array.copy t.values
+
+(* [get] over [pos .. pos+len-1] into [dst]: the stored part is one
+   memory copy, positions outside it take the total accessor. *)
+let blit t ~pos dst ~dst_pos ~len =
+  let last = pos + len - 1 in
+  let a = max pos t.lo and b = min last (stored_hi t) in
+  let slow lo hi =
+    for k = lo to hi do
+      dst.(dst_pos + k - pos) <- get t k
+    done
+  in
+  if a > b then slow pos last
+  else begin
+    slow pos (a - 1);
+    Array.blit t.values (a - t.lo) dst (dst_pos + a - pos) (b - a + 1);
+    slow (b + 1) last
+  end
 
 (* In-place mutation of a stored value; used by the O(w) maintenance fast
    path.  The position must lie in the stored range. *)

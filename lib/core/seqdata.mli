@@ -28,6 +28,11 @@ val raw_get : raw -> int -> float
 
 val raw_to_array : raw -> float array
 
+(** [raw_blit r ~pos dst ~dst_pos ~len] copies [x_pos .. x_(pos+len-1)]
+    into [dst] from [dst_pos].
+    @raise Invalid_argument if the range leaves [1, n] or [dst]. *)
+val raw_blit : raw -> pos:int -> float array -> dst_pos:int -> len:int -> unit
+
 (** Functional edits used by the §2.3 maintenance rules.  Positions are
     1-based; insert shifts positions [>= k] right, delete shifts
     positions [> k] left.
@@ -72,6 +77,11 @@ val set_value : t -> int -> float -> unit
 
 (** All stored values, ascending by position (a copy). *)
 val to_array : t -> float array
+
+(** [blit t ~pos dst ~dst_pos ~len] writes {!get} at positions
+    [pos .. pos+len-1] into [dst] from [dst_pos]; the stored part is a
+    single memory copy. *)
+val blit : t -> pos:int -> float array -> dst_pos:int -> len:int -> unit
 
 (** Values at body positions [1..n] only. *)
 val body : t -> float array

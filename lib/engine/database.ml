@@ -926,21 +926,15 @@ and refresh_view_full db (v : Catalog.view) =
               ~context:"the incremental sequence state" ~incremental:rendered
               ~recomputed:contents;
             (* serve the state's rendering, so a refresh and incremental
-               maintenance leave the same physical row order behind — this
-               keeps batched maintenance (whose wide deltas fall back to
-               this path) bit-identical to per-row maintenance *)
+               maintenance leave the same physical row order behind — a
+               wide delta falls back to this path, and the result must
+               not depend on how statements were chunked into batches *)
             v.Catalog.contents <- Some (Catalog.indexed rendered);
             Hashtbl.replace db.view_states (key v.Catalog.view_name) state;
             true
           with Matview.Not_maintainable _ -> false))
   in
   if not seq_installed then ignore (try_derive db v)
-
-type dml_change =
-  | Rows_inserted of Row.t list
-  | Rows_deleted of Row.t list
-  | Rows_updated of (Row.t * Row.t) list (* old, new *)
-  | Rows_batch of Delta.table_delta (* consolidated batch delta *)
 
 (* Quarantine a view whose maintenance faulted mid statement: drop the
    (possibly half-applied) incremental state and mark the contents
@@ -1018,82 +1012,77 @@ let shared_classes_for db ~table =
       !classes
   end
 
-(* Propagate one base-table change to every materialized view that
-   references the table: incrementally when a sequence-view state exists,
-   by full refresh otherwise.  Views under derived delta-plan
+(* Propagate one table's consolidated delta to every materialized view
+   that references the table: incrementally when a sequence-view state
+   exists, by full refresh otherwise.  Views under derived delta-plan
    maintenance are skipped here — they are maintained once per change
    set with the full consolidated delta ([maintain_derived] below),
    because per-table propagation would double-count the dA |x| dB cross
    term of multi-table join deltas.  Already-quarantined views are
    skipped — they will catch up wholesale on their next read. *)
-let propagate db ~table change =
+let propagate db ~table (td : Delta.table_delta) =
   (* a delta at least as wide as the (post-change) base table gains
      nothing over recomputation: route it to the full-refresh path *)
   let wide =
-    match change with
-    | Rows_batch td ->
-      Delta.weight td >= Array.length (Catalog.rows (Catalog.table db.catalog table))
-    | _ -> false
+    Delta.weight td >= Array.length (Catalog.rows (Catalog.table db.catalog table))
   in
-  (* certificate-gated shared base scans: a consolidated batch delta
-     drives all views of a certified scan-share class from ONE shared
-     structural merge; everything else takes the per-view path below *)
+  (* certificate-gated shared base scans: the delta drives all views of
+     a certified scan-share class from ONE shared structural merge;
+     everything else takes the per-view path below *)
   let shared_done = Hashtbl.create 4 in
-  (match change with
-   | Rows_batch td when not wide ->
-     List.iter
-       (fun members ->
-         match
-           Matview.shared_plan
-             (List.map snd members)
-             ~inserts:td.Delta.inserted ~deletes:td.Delta.deleted
-             ~updates:td.Delta.updated
-         with
-         | exception Matview.Not_maintainable _ ->
-           (* the shared structural merge is not applicable (e.g. an
-              edited row is missing from the base structure): leave the
-              whole class to the per-view path, which reaches the same
-              verdict view by view *)
-           ()
-         | plan ->
-           List.iter
-             (fun ((v : Catalog.view), state) ->
-               Hashtbl.replace shared_done (key v.Catalog.view_name) ();
-               let maintain () =
-                 Fault.hit site_propagate;
-                 log_view db v;
-                 try
-                   let solo =
-                     if Verify.enabled () then Some (Matview.copy_state state)
-                     else None
-                   in
-                   Matview.apply_shared plan state;
-                   let rendered = Matview.render state in
-                   (match solo with
-                    | Some s ->
-                      (* differential validation: the shared scan must
-                         land bit-identically where the per-view scan
-                         lands, and both must agree with recomputation *)
-                      Matview.apply_batch s ~inserts:td.Delta.inserted
-                        ~deletes:td.Delta.deleted ~updates:td.Delta.updated;
-                      P.Hooks.validate_shared_scan ~view:v.Catalog.view_name
-                        ~shared:rendered ~per_view:(Matview.render s);
-                      Verify.check_view_maintenance ~view:v.Catalog.view_name
-                        ~context:"shared-scan batch maintenance"
-                        ~incremental:rendered
-                        ~recomputed:(recompute db v.Catalog.definition)
-                    | None -> ());
-                   v.Catalog.contents <- Some (Catalog.indexed rendered)
-                 with Matview.Not_maintainable _ -> refresh_view_full db v
-               in
-               match maintain () with
-               | () -> ()
-               | exception e
-                 when db.cfg.degradation = `Quarantine && recoverable_exn e ->
-                 quarantine_view db v)
-             members)
-       (shared_classes_for db ~table)
-   | _ -> ());
+  if not wide then
+    List.iter
+      (fun members ->
+        match
+          Matview.shared_plan
+            (List.map snd members)
+            ~inserts:td.Delta.inserted ~deletes:td.Delta.deleted
+            ~updates:td.Delta.updated
+        with
+        | exception Matview.Not_maintainable _ ->
+          (* the shared structural merge is not applicable (e.g. an
+             edited row is missing from the base structure): leave the
+             whole class to the per-view path, which reaches the same
+             verdict view by view *)
+          ()
+        | plan ->
+          List.iter
+            (fun ((v : Catalog.view), state) ->
+              Hashtbl.replace shared_done (key v.Catalog.view_name) ();
+              let maintain () =
+                Fault.hit site_propagate;
+                log_view db v;
+                try
+                  let solo =
+                    if Verify.enabled () then Some (Matview.copy_state state)
+                    else None
+                  in
+                  Matview.apply_shared plan state;
+                  let rendered = Matview.render state in
+                  (match solo with
+                   | Some s ->
+                     (* differential validation: the shared scan must
+                        land bit-identically where the per-view scan
+                        lands, and both must agree with recomputation *)
+                     Matview.apply_batch s ~inserts:td.Delta.inserted
+                       ~deletes:td.Delta.deleted ~updates:td.Delta.updated;
+                     P.Hooks.validate_shared_scan ~view:v.Catalog.view_name
+                       ~shared:rendered ~per_view:(Matview.render s);
+                     Verify.check_view_maintenance ~view:v.Catalog.view_name
+                       ~context:"shared-scan batch maintenance"
+                       ~incremental:rendered
+                       ~recomputed:(recompute db v.Catalog.definition)
+                   | None -> ());
+                  v.Catalog.contents <- Some (Catalog.indexed rendered)
+                with Matview.Not_maintainable _ -> refresh_view_full db v
+              in
+              match maintain () with
+              | () -> ()
+              | exception e
+                when db.cfg.degradation = `Quarantine && recoverable_exn e ->
+                quarantine_view db v)
+            members)
+      (shared_classes_for db ~table);
   List.iter
     (fun (v : Catalog.view) ->
       if
@@ -1114,17 +1103,8 @@ let propagate db ~table change =
           with
           | Some state ->
             (try
-               (match change with
-                | Rows_inserted rows -> List.iter (Matview.apply_insert state) rows
-                | Rows_deleted rows -> List.iter (Matview.apply_delete state) rows
-                | Rows_updated pairs ->
-                  List.iter
-                    (fun (old_row, new_row) ->
-                      Matview.apply_update state ~old_row ~new_row)
-                    pairs
-                | Rows_batch td ->
-                  Matview.apply_batch state ~inserts:td.Delta.inserted
-                    ~deletes:td.Delta.deleted ~updates:td.Delta.updated);
+               Matview.apply_batch state ~inserts:td.Delta.inserted
+                 ~deletes:td.Delta.deleted ~updates:td.Delta.updated;
                let rendered = Matview.render state in
                (* translation validation: incremental maintenance must agree
                   with recomputing the view definition from scratch *)
@@ -1151,13 +1131,8 @@ let propagate db ~table change =
    term couples the per-table deltas, so per-table propagation would be
    wrong for multi-table views.  The evaluation environment routes
    sub-plan evaluation through the standard physical pipeline (checked
-   and sanitized like any query plan) and reads deltas out of the
-   consolidated batch delta. *)
-
-let signed_of_td (td : Delta.table_delta) : (Row.t * int) list =
-  List.map (fun r -> (r, 1)) td.Delta.inserted
-  @ List.map (fun r -> (r, -1)) td.Delta.deleted
-  @ List.concat_map (fun (o, n) -> [ (o, -1); (n, 1) ]) td.Delta.updated
+   and sanitized like any query plan) and reads each table's delta as a
+   signed multiset ([Delta.signed]). *)
 
 let deriv_env db (d : Delta.t) : P.Deriv.env =
   {
@@ -1165,7 +1140,7 @@ let deriv_env db (d : Delta.t) : P.Deriv.env =
       (fun table ->
         match Delta.find d table with
         | None -> []
-        | Some td -> signed_of_td td);
+        | Some td -> Delta.signed td);
     eval =
       (fun logical ->
         let rd = writer db in
@@ -1234,44 +1209,34 @@ let maintain_derived db (d : Delta.t) =
             end)
       (Catalog.all_views db.catalog)
 
-(* The consolidated single-statement delta for the immediate
-   (non-batch) path. *)
-let delta_of_change ~table = function
-  | Rows_inserted rows -> Delta.insert Delta.empty ~table rows
-  | Rows_deleted rows -> Delta.delete Delta.empty ~table rows
-  | Rows_updated pairs -> Delta.update Delta.empty ~table pairs
-  | Rows_batch _ -> assert false (* batch deltas never reach this path *)
+(* The one maintenance routine: every table's delta through
+   [propagate], then derived views, which see the whole delta at once. *)
+let maintain db (d : Delta.t) =
+  List.iter
+    (fun table ->
+      match Delta.find d table with
+      | Some td -> propagate db ~table td
+      | None -> ())
+    (Delta.tables d);
+  maintain_derived db d
 
 (* ---- Batch scopes ----
 
-   Inside [with_batch] the DML apply functions record their change into
-   the batch's delta instead of propagating immediately; [flush_delta]
-   consolidates and propagates once per dependent view (and runs early
-   whenever a read or a DDL statement needs fresh views mid-batch).  The
-   batch's WAL records are framed as one [Wal.Batch] record and fsynced
-   once — the group commit. *)
+   Every DML statement folds its change into a [Delta.t].  Inside
+   [with_batch] the change joins the batch's delta, and [flush_delta]
+   maintains the consolidated delta once per dependent view (early
+   whenever a read or a DDL statement needs fresh views mid-batch).
+   Outside a batch the statement is a batch of one, maintained at once.
+   The batch's WAL records are framed as one [Wal.Batch] record and
+   fsynced once — the group commit. *)
 
-let record_or_propagate db ~table change =
-  (* a DML statement that matched nothing must not touch the views at
-     all — in batch mode [Delta.find] drops empty deltas, so the
-     immediate path has to skip them too or the two modes would leave
-     different physical view contents (render order) behind *)
-  match change with
-  | Rows_inserted [] | Rows_deleted [] | Rows_updated [] -> ()
-  | _ ->
+let record_change db (change : Delta.t -> Delta.t) =
   match db.batch with
   | Some b ->
     let d = b.b_delta in
     log_undo db (fun () -> b.b_delta <- d);
-    b.b_delta <-
-      (match change with
-       | Rows_inserted rows -> Delta.insert d ~table rows
-       | Rows_deleted rows -> Delta.delete d ~table rows
-       | Rows_updated pairs -> Delta.update d ~table pairs
-       | Rows_batch _ -> assert false (* batches never nest into deltas *))
-  | None ->
-    propagate db ~table change;
-    maintain_derived db (delta_of_change ~table change)
+    b.b_delta <- change d
+  | None -> maintain db (change Delta.empty)
 
 let flush_delta db =
   match db.batch with
@@ -1284,14 +1249,7 @@ let flush_delta db =
       (* clear before propagating, so nothing the propagation reaches
          can apply the same delta twice *)
       b.b_delta <- Delta.empty;
-      List.iter
-        (fun table ->
-          match Delta.find d table with
-          | Some td -> propagate db ~table (Rows_batch td)
-          | None -> ())
-        (Delta.tables d);
-      (* derived views see the whole consolidated delta at once *)
-      maintain_derived db d
+      maintain db d
     in
     (match db.undo with
      | Some _ -> run () (* mid-statement: join its scope *)
@@ -1398,7 +1356,7 @@ let insert_rows db ~table (new_rows : Row.t list) =
   Catalog.set_rows tbl (Array.append (Catalog.rows tbl) (Array.of_list new_rows));
   Fault.hit site_apply_insert;
   wal_log db (Wal.Insert { table; rows = Array.of_list new_rows });
-  record_or_propagate db ~table (Rows_inserted new_rows)
+  record_change db (Delta.insert ~table new_rows)
 
 let exec_insert db ~table ~columns ~rows =
   let tbl = Catalog.table db.catalog table in
@@ -1439,7 +1397,7 @@ let update_rows db ~table ~rows ~pairs =
   Catalog.set_rows tbl rows;
   Fault.hit site_apply_update;
   wal_log db (Wal.Update { table; pairs = Array.of_list pairs });
-  record_or_propagate db ~table (Rows_updated pairs)
+  record_change db (Delta.update ~table pairs)
 
 let delete_rows db ~table ~kept ~deleted =
   let tbl = Catalog.table db.catalog table in
@@ -1447,7 +1405,7 @@ let delete_rows db ~table ~kept ~deleted =
   Catalog.set_rows tbl kept;
   Fault.hit site_apply_delete;
   wal_log db (Wal.Delete { table; rows = Array.of_list deleted });
-  record_or_propagate db ~table (Rows_deleted deleted)
+  record_change db (Delta.delete ~table deleted)
 
 let exec_update db ~table ~assignments ~where =
   let tbl = Catalog.table db.catalog table in
@@ -1642,7 +1600,7 @@ let load_table db ~table rows =
           log_table db tbl;
           Catalog.set_rows tbl (Array.append (Catalog.rows tbl) rows);
           wal_log db (Wal.Load { table; rows });
-          record_or_propagate db ~table (Rows_inserted (Array.to_list rows))))
+          record_change db (Delta.insert ~table (Array.to_list rows))))
 
 (* ---- Entry points ---- *)
 
@@ -1727,7 +1685,7 @@ let view_state db name =
   flush_delta db;
   Hashtbl.find_opt db.view_states (key name)
 
-(* The certified scan-share classes a batch delta against [table] would
+(* The certified scan-share classes a delta against [table] would
    drive through one shared partition iterator — the cert-iff-runtime
    introspection surface for the CLI and the test matrix. *)
 let share_classes db ~table =

@@ -56,7 +56,7 @@ val recoverable_exn : exn -> bool
       Table 2 variants.  [index_join] additionally off yields pure
       nested-loop plans.
     - [degradation]: the view-maintenance failure policy.
-    - [share_scans]: during batch maintenance, drive all sequence views
+    - [share_scans]: during maintenance, drive all sequence views
       of a certified scan-share class (same base table, partition
       columns and order column — {!Rfview_analysis.Share}) from one
       shared partition iterator instead of re-scanning per view. *)
@@ -291,7 +291,7 @@ val stale_views : t -> string list
 val view_state : t -> string -> Matview.state option
 
 (** The certified scan-share classes (view names, ≥ 2 members each) a
-    batch delta against [table] would drive through one shared partition
+    delta against [table] would drive through one shared partition
     iterator.  Non-empty only when [share_scans] is on, the views have
     live sequence states agreeing on the runtime scan key, {e and} the
     static {!Rfview_analysis.Share} certificate over their definitions

@@ -1,34 +1,44 @@
-(* Accumulated base-table changes for one batch scope.
+(* Accumulated base-table changes: one batch, or one statement outside
+   a batch (a batch of one).
 
    A delta is a per-table multiset of inserted rows, deleted rows and
    (old, new) update pairs, consolidated as changes arrive so each base
    row appears at most once: inserting then deleting a row inside one
    batch cancels out, updating an inserted row folds into the insert,
-   chained updates collapse to (original, final).  Propagation at batch
-   commit therefore sees the *net* change, which is exactly what the
-   multi-row maintenance rules need.
+   chained updates collapse to (original, final).  Propagation therefore
+   sees the *net* change, which is exactly what the multi-row
+   maintenance rules need.
 
-   The structure is persistent (a [Map] of immutable accumulators), so
-   the undo log can snapshot it by capturing the old pointer. *)
+   Pending inserts and updates are indexed by their current row, so
+   consolidation finds a change's partner in O(log k) rather than by a
+   list scan.  Inserts first go onto a plain list and are indexed only
+   when a delete or update needs to search them, so an insert-only delta
+   (a bulk load) costs no indexing.  Every recorded change carries an
+   arrival stamp: among equal rows the newest arrival is the partner,
+   and [find] reports each list in arrival order (insert ties are broken
+   by arrival when the view merges them).
+
+   The structure is persistent (maps of immutable accumulators), so the
+   undo log can snapshot it by capturing the old pointer. *)
 
 open Rfview_relalg
 
 module M = Map.Make (String)
+module R = Map.Make (Row)
 
-let row_equal (a : Row.t) (b : Row.t) =
-  Array.length a = Array.length b
-  && (let ok = ref true in
-      Array.iteri (fun i v -> if not (Value.equal v b.(i)) then ok := false) a;
-      !ok)
+(* Entries under one row key, newest stamp first. *)
+type 'a entries = (int * 'a) list R.t
 
-(* Internal accumulator: newest-first lists, reversed on read. *)
 type acc = {
-  ins_rev : Row.t list;
-  del_rev : Row.t list;
-  upd_rev : (Row.t * Row.t) list;  (* (original, current) *)
+  next : int;                        (* the next arrival stamp *)
+  fresh : (int * Row.t) list;        (* unindexed inserts, newest first,
+                                        all newer than those in [ins] *)
+  ins : Row.t entries;               (* current row -> the inserted row *)
+  upd : (Row.t * Row.t) entries;     (* current row -> (original, current) *)
+  del_rev : Row.t list;              (* newest first *)
 }
 
-let empty_acc = { ins_rev = []; del_rev = []; upd_rev = [] }
+let empty_acc = { next = 0; fresh = []; ins = R.empty; upd = R.empty; del_rev = [] }
 
 type table_delta = {
   inserted : Row.t list;
@@ -43,77 +53,78 @@ let is_empty (d : t) = M.is_empty d
 
 let key table = String.lowercase_ascii table
 
-let acc_of d table =
-  match M.find_opt (key table) d with Some a -> a | None -> empty_acc
+(* Remove the newest entry under [row]; None when there is none. *)
+let take_newest (m : 'a entries) row =
+  match R.find_opt row m with
+  | Some (e :: rest) ->
+    Some (e, if rest = [] then R.remove row m else R.add row rest m)
+  | Some [] | None -> None
 
-(* Remove the first list element satisfying [p]; None when absent. *)
-let rec remove_first p = function
-  | [] -> None
-  | x :: rest when p x -> Some rest
-  | x :: rest ->
-    (match remove_first p rest with
-     | Some rest' -> Some (x :: rest')
-     | None -> None)
+(* Add an entry under [row], keeping the newest stamp first. *)
+let put (m : 'a entries) row ((s, _) as e) =
+  let rec place = function
+    | ((s', _) as x) :: rest when s' > s -> x :: place rest
+    | l -> e :: l
+  in
+  R.update row (fun l -> Some (place (Option.value l ~default:[]))) m
 
-(* Replace the first element satisfying [p] with [f x]. *)
-let rec replace_first p f = function
-  | [] -> None
-  | x :: rest when p x -> Some (f x :: rest)
-  | x :: rest ->
-    (match replace_first p f rest with
-     | Some rest' -> Some (x :: rest')
-     | None -> None)
+let add_insert a row = { a with next = a.next + 1; fresh = (a.next, row) :: a.fresh }
 
-let add_insert a row = { a with ins_rev = row :: a.ins_rev }
+(* Index the fresh inserts, oldest first, before a search. *)
+let indexed a =
+  if a.fresh = [] then a
+  else
+    let ins = List.fold_left (fun m ((_, row) as e) -> put m row e) a.ins in
+    { a with fresh = []; ins = ins (List.rev a.fresh) }
 
 let add_delete a row =
-  (* a row inserted earlier in the batch simply vanishes *)
-  match remove_first (row_equal row) a.ins_rev with
-  | Some ins_rev -> { a with ins_rev }
+  let a = indexed a in
+  (* a row inserted earlier simply vanishes *)
+  match take_newest a.ins row with
+  | Some (_, ins) -> { a with ins }
   | None ->
-    (* a row updated earlier: the delete targets its current value; the
-       net effect is deleting the original *)
-    (match
-       remove_first (fun (_, cur) -> row_equal row cur) a.upd_rev
-     with
-     | Some upd_rev ->
-       let original =
-         List.find_map
-           (fun (pre, cur) -> if row_equal row cur then Some pre else None)
-           a.upd_rev
-       in
-       (match original with
-        | Some pre -> { a with upd_rev; del_rev = pre :: a.del_rev }
-        | None -> { a with del_rev = row :: a.del_rev })
+    (match take_newest a.upd row with
+     | Some ((_, (original, _)), upd) ->
+       (* a row updated earlier: the delete targets its current value;
+          the net effect is deleting the original *)
+       { a with upd; del_rev = original :: a.del_rev }
      | None -> { a with del_rev = row :: a.del_rev })
 
 let add_update a (old_row, new_row) =
-  (* updating a row inserted this batch folds into the insert *)
-  match replace_first (row_equal old_row) (fun _ -> new_row) a.ins_rev with
-  | Some ins_rev -> { a with ins_rev }
+  let a = indexed a in
+  match take_newest a.ins old_row with
+  | Some ((s, _), ins) ->
+    (* updating a row inserted earlier folds into the insert *)
+    { a with ins = put ins new_row (s, new_row) }
   | None ->
-    (* chained updates collapse to (original, final) *)
-    (match
-       replace_first
-         (fun (_, cur) -> row_equal old_row cur)
-         (fun (pre, _) -> (pre, new_row))
-         a.upd_rev
-     with
-     | Some upd_rev -> { a with upd_rev }
-     | None -> { a with upd_rev = (old_row, new_row) :: a.upd_rev })
+    (match take_newest a.upd old_row with
+     | Some ((s, (original, _)), upd) ->
+       (* chained updates collapse to (original, final) *)
+       { a with upd = put upd new_row (s, (original, new_row)) }
+     | None ->
+       {
+         a with
+         next = a.next + 1;
+         upd = put a.upd new_row (a.next, (old_row, new_row));
+       })
 
-let with_acc d table f = M.add (key table) (f (acc_of d table)) d
+let record ~table add changes (d : t) =
+  if changes = [] then d
+  else
+    let a = Option.value (M.find_opt (key table) d) ~default:empty_acc in
+    M.add (key table) (List.fold_left add a changes) d
 
-let insert (d : t) ~table rows =
-  with_acc d table (fun a -> List.fold_left add_insert a rows)
-
-let delete (d : t) ~table rows =
-  with_acc d table (fun a -> List.fold_left add_delete a rows)
-
-let update (d : t) ~table pairs =
-  with_acc d table (fun a -> List.fold_left add_update a pairs)
+let insert ~table rows d = record ~table add_insert rows d
+let delete ~table rows d = record ~table add_delete rows d
+let update ~table pairs d = record ~table add_update pairs d
 
 let tables (d : t) = List.map fst (M.bindings d)
+
+(* The entries of a map, oldest arrival first. *)
+let in_arrival (m : 'a entries) =
+  R.fold (fun _ l acc -> List.rev_append l acc) m []
+  |> List.sort (fun (s, _) (s', _) -> Int.compare s s')
+  |> List.map snd
 
 let find (d : t) table : table_delta option =
   match M.find_opt (key table) d with
@@ -121,9 +132,9 @@ let find (d : t) table : table_delta option =
   | Some a ->
     let td =
       {
-        inserted = List.rev a.ins_rev;
+        inserted = in_arrival a.ins @ List.rev_map snd a.fresh;
         deleted = List.rev a.del_rev;
-        updated = List.rev a.upd_rev;
+        updated = in_arrival a.upd;
       }
     in
     if td.inserted = [] && td.deleted = [] && td.updated = [] then None
@@ -131,3 +142,8 @@ let find (d : t) table : table_delta option =
 
 let weight (td : table_delta) =
   List.length td.inserted + List.length td.deleted + List.length td.updated
+
+let signed (td : table_delta) : (Row.t * int) list =
+  List.map (fun r -> (r, 1)) td.inserted
+  @ List.map (fun r -> (r, -1)) td.deleted
+  @ List.concat_map (fun (o, n) -> [ (o, -1); (n, 1) ]) td.updated

@@ -10,8 +10,8 @@
    with simple column references, a single ordering column and a
    cumulative or sliding ROWS frame.  For such views the engine keeps a
    per-partition core representation (raw data + complete sequence) and
-   maintains it incrementally under base-table DML; other views are
-   refreshed by full recomputation.
+   maintains it incrementally from each consolidated base-table delta;
+   other views are refreshed by full recomputation.
 
    The value column must be numeric and NULL-free for the incremental
    path — checked when the state is initialized; otherwise the engine
@@ -146,12 +146,9 @@ type state = {
 
 exception Not_maintainable of string
 
-(* Fault-injection sites (see Fault): state construction and the three
-   incremental maintenance entry points. *)
+(* Fault-injection site (see Fault): state construction.  Maintenance
+   defines its own below. *)
 let site_init = Fault.define "matview.init_state"
-let site_apply_insert = Fault.define "matview.apply_insert"
-let site_apply_delete = Fault.define "matview.apply_delete"
-let site_apply_update = Fault.define "matview.apply_update"
 
 let core_agg = function
   | Aggregate.Sum | Aggregate.Count | Aggregate.Avg -> Core.Agg.Sum
@@ -168,6 +165,28 @@ let compare_pkey a b =
   in
   go (a, b)
 
+let value_of st row =
+  match Row.get row st.vcol with
+  | Value.Null -> raise (Not_maintainable "NULL in the value column")
+  | v ->
+    (try Value.to_float v
+     with Value.Type_error _ -> raise (Not_maintainable "non-numeric value column"))
+
+let pkey_of st row = List.map (fun i -> Row.get row i) st.pcols
+
+let find_partition st pkey = List.find_opt (fun p -> compare_pkey p.pkey pkey = 0) st.parts
+
+let add_partition st p =
+  st.parts <- List.sort (fun a b -> compare_pkey a.pkey b.pkey) (p :: st.parts)
+
+let drop_partition st p = st.parts <- List.filter (fun q -> q != p) st.parts
+
+(* A fresh partition over rows already sorted by the order column. *)
+let new_partition st pkey rows =
+  let raw = Core.Seqdata.raw_of_array (Array.map (value_of st) rows) in
+  let seq = Core.Compute.sequence ~agg:(core_agg st.spec.agg) st.spec.frame raw in
+  { pkey; base_rows = rows; raw; seq }
+
 (* Build the state from the current base-table contents.  Raises
    [Not_maintainable] when the value column contains NULLs or
    non-numerics. *)
@@ -182,30 +201,23 @@ let init_state (spec : seq_spec) ~(base : Relation.t) ~(out_schema : Schema.t) :
   let pcols = List.map find spec.partition in
   let ocol = find spec.order_col in
   let vcol = find spec.value_col in
-  let value_of row =
-    match Row.get row vcol with
-    | Value.Null -> raise (Not_maintainable "NULL in the value column")
-    | v ->
-      (try Value.to_float v
-       with Value.Type_error _ -> raise (Not_maintainable "non-numeric value column"))
-  in
+  let st = { spec; base_schema; out_schema; pcols; ocol; vcol; parts = [] } in
   (* partition rows *)
   let tbl = Hashtbl.create 16 in
   let order = ref [] in
   Relation.iter
     (fun row ->
-      let k = List.map (fun i -> Row.get row i) pcols in
+      let k = pkey_of st row in
       match Hashtbl.find_opt tbl k with
       | Some rows -> rows := row :: !rows
       | None ->
         Hashtbl.add tbl k (ref [ row ]);
         order := k :: !order)
     base;
-  let parts =
+  st.parts <-
     List.map
       (fun k ->
-        let rows = List.rev !(Hashtbl.find tbl k) in
-        let arr = Array.of_list rows in
+        let arr = Array.of_list (List.rev !(Hashtbl.find tbl k)) in
         (* stable sort by the order column *)
         let idx = Array.init (Array.length arr) Fun.id in
         Array.sort
@@ -213,25 +225,17 @@ let init_state (spec : seq_spec) ~(base : Relation.t) ~(out_schema : Schema.t) :
             let c = Value.compare (Row.get arr.(i) ocol) (Row.get arr.(j) ocol) in
             if c <> 0 then c else Int.compare i j)
           idx;
-        let sorted = Array.map (fun i -> arr.(i)) idx in
-        let raw = Core.Seqdata.raw_of_array (Array.map value_of sorted) in
-        let seq = Core.Compute.sequence ~agg:(core_agg spec.agg) spec.frame raw in
-        { pkey = k; base_rows = sorted; raw; seq })
+        new_partition st k (Array.map (fun i -> arr.(i)) idx))
       (List.rev !order)
-    |> List.sort (fun a b -> compare_pkey a.pkey b.pkey)
-  in
-  { spec; base_schema; out_schema; pcols; ocol; vcol; parts }
+    |> List.sort (fun a b -> compare_pkey a.pkey b.pkey);
+  st
 
-(* Deep copy of the mutable layers, for undo-log snapshots.  Rows,
-   [Seqdata.raw] and [Seqdata.t] values are never mutated in place by the
-   maintenance path ([Maintain.apply] is functional), so sharing them is
-   safe; the partition records and their [base_rows] arrays are. *)
+(* Copy of the mutable layers, for undo-log snapshots: the state and
+   partition records.  Maintenance never writes into a row, raw-value or
+   sequence array in place (it installs fresh ones), so those are
+   shared. *)
 let copy_state (st : state) : state =
-  {
-    st with
-    parts =
-      List.map (fun p -> { p with base_rows = Array.copy p.base_rows }) st.parts;
-  }
+  { st with parts = List.map (fun p -> { p with pkey = p.pkey }) st.parts }
 
 (* ---- Rendering ---- *)
 
@@ -283,249 +287,203 @@ let render (st : state) : Relation.t =
     st.parts;
   Relation.of_array st.out_schema (Array.of_list (List.rev !buf))
 
-(* ---- Incremental maintenance under base DML ---- *)
+(* ---- Incremental maintenance (§2.3 over a consolidated delta) ----
 
-let value_of st row =
-  match Row.get row st.vcol with
-  | Value.Null -> raise (Not_maintainable "NULL in the value column")
-  | v ->
-    (try Value.to_float v
-     with Value.Type_error _ -> raise (Not_maintainable "non-numeric value column"))
+   Every change reaches a view as one consolidated delta: a batch, or a
+   single statement as a batch of one.  One partition's edits are merged
+   into the ordered row array in a single pass that claims each deleted
+   or updated row by binary search on the order column and places each
+   insert after the rows whose order value is <= its own.  The merge is
+   described as runs of kept old rows (an old rank range and its new
+   offset) plus the new ranks of inserted/updated rows ("touches") and
+   of deletion gaps, so the new row, raw-value and sequence arrays are
+   built by one memory copy per run.
 
-let pkey_of st row = List.map (fun i -> Row.get row i) st.pcols
+   Each event dirties the window span it touches — [k-h, k+l] for an
+   insert/update landing at new rank k, [g-h, g+l-1] for a deletion gap
+   at g — and each contiguous dirty run is recomputed with one pipelined
+   span scan (Maintain.recompute_span).  Clean positions copy the old
+   sequence value under their run's rank shift: a clean position's
+   window contains no edit, so every raw value in it moved by the same
+   offset.  When at least half the sequence is dirty the partition is
+   recomputed outright.
 
-let find_partition st pkey = List.find_opt (fun p -> compare_pkey p.pkey pkey = 0) st.parts
-
-(* Rank (1-based) at which [row] inserts into the ordered partition:
-   after all existing rows with order value <= its own. *)
-let insert_rank st (p : partition_state) row =
-  let v = Row.get row st.ocol in
-  let n = Array.length p.base_rows in
-  let rec go k =
-    if k >= n then n + 1
-    else if Value.compare (Row.get p.base_rows.(k) st.ocol) v <= 0 then go (k + 1)
-    else k + 1
-  in
-  go 0
-
-let apply_insert st row =
-  Fault.hit site_apply_insert;
-  let pkey = pkey_of st row in
-  match find_partition st pkey with
-  | None ->
-    let raw = Core.Seqdata.raw_of_array [| value_of st row |] in
-    let seq = Core.Compute.sequence ~agg:(core_agg st.spec.agg) st.spec.frame raw in
-    st.parts <-
-      List.sort
-        (fun a b -> compare_pkey a.pkey b.pkey)
-        ({ pkey; base_rows = [| row |]; raw; seq } :: st.parts)
-  | Some p ->
-    let k = insert_rank st p row in
-    let seq', raw' =
-      Core.Maintain.apply p.seq p.raw (Core.Maintain.Insert { k; value = value_of st row })
-    in
-    let n = Array.length p.base_rows in
-    let rows = Array.make (n + 1) row in
-    Array.blit p.base_rows 0 rows 0 (k - 1);
-    Array.blit p.base_rows (k - 1) rows k (n - k + 1);
-    p.base_rows <- rows;
-    p.raw <- raw';
-    p.seq <- seq'
-
-(* Position of [row] in its partition (first row equal to it). *)
-let find_rank (p : partition_state) row =
-  let n = Array.length p.base_rows in
-  let rec go k =
-    if k >= n then None
-    else if Row.equal p.base_rows.(k) row then Some (k + 1)
-    else go (k + 1)
-  in
-  go 0
-
-let apply_delete st row =
-  Fault.hit site_apply_delete;
-  let pkey = pkey_of st row in
-  match find_partition st pkey with
-  | None -> raise (Not_maintainable "deleted row not found in view state")
-  | Some p ->
-    (match find_rank p row with
-     | None -> raise (Not_maintainable "deleted row not found in view state")
-     | Some k ->
-       let seq', raw' = Core.Maintain.apply p.seq p.raw (Core.Maintain.Delete { k }) in
-       let n = Array.length p.base_rows in
-       if n = 1 then st.parts <- List.filter (fun q -> q != p) st.parts
-       else begin
-         let rows = Array.make (n - 1) row in
-         Array.blit p.base_rows 0 rows 0 (k - 1);
-         Array.blit p.base_rows k rows (k - 1) (n - k);
-         p.base_rows <- rows;
-         p.raw <- raw';
-         p.seq <- seq'
-       end)
-
-let apply_update st ~old_row ~new_row =
-  Fault.hit site_apply_update;
-  let same_partition = compare_pkey (pkey_of st old_row) (pkey_of st new_row) = 0 in
-  let same_order =
-    Value.equal (Row.get old_row st.ocol) (Row.get new_row st.ocol)
-  in
-  if same_partition && same_order then begin
-    match find_partition st (pkey_of st old_row) with
-    | None -> raise (Not_maintainable "updated row not found in view state")
-    | Some p ->
-      (match find_rank p old_row with
-       | None -> raise (Not_maintainable "updated row not found in view state")
-       | Some k ->
-         let seq', raw' =
-           Core.Maintain.apply p.seq p.raw
-             (Core.Maintain.Update { k; value = value_of st new_row })
-         in
-         p.base_rows.(k - 1) <- new_row;
-         p.raw <- raw';
-         p.seq <- seq')
-  end
-  else begin
-    (* order or partition changed: delete + insert *)
-    apply_delete st old_row;
-    apply_insert st new_row
-  end
-
-(* ---- Batched maintenance (multi-row §2.3) ----
-
-   One partition's consolidated edits are merged into the ordered row
-   array in a single two-pointer pass; the merge records, per new rank,
-   which old rank it came from (0 for an inserted row) plus the edit
-   events.  Each event dirties the window span it touches — [k-h, k+l]
-   for an insert/update landing at new rank k, [g-h, g+l-1] for a
-   deletion gap at g — and the dirty positions are recomputed with one
-   pipelined span scan per contiguous run (Maintain.recompute_span).
-   Clean positions copy the old sequence value under the run-local rank
-   shift: a clean position's window contains no edit, so every raw value
-   in it moved by the same offset.  When at least half the sequence is
-   dirty the partition is recomputed outright. *)
+   No array a state holds is ever written in place: a merge installs
+   fresh arrays.  So undo snapshots copy only the partition records
+   ([copy_state]) and the members of a scan-share class can share their
+   merged row arrays. *)
 
 let site_apply_batch = Fault.define "matview.apply_batch"
 
-(* Stable by arrival on equal order values, matching per-row insert_rank
-   (a new row lands after existing rows with order <= it). *)
+(* Stable by arrival on equal order values: a new row lands after the
+   existing rows (and earlier arrivals) with an equal order value. *)
 let sort_inserts ~ocol inserts =
   List.stable_sort
     (fun a b -> Value.compare (Row.get a ocol) (Row.get b ocol))
     inserts
 
-(* Structural half of one partition's batched merge: claim one old rank
-   per delete / per in-place update, then two-pointer merge the sorted
-   inserts over the old ranks.  Depends only on the order column and the
-   ordered base rows — not on the view's value column, aggregate or
-   frame — which is what shared-scan maintenance exploits: every view of
-   a scan-share class has bit-identical [base_rows], so the merge is
-   computed once and replayed per view. *)
+(* Kept old ranks [old_lo, old_lo+len-1] land at new ranks
+   [new_lo, new_lo+len-1]. *)
+type run = { old_lo : int; new_lo : int; len : int }
+
+type merge = {
+  rows' : Row.t array;
+  runs : run list;     (* ascending *)
+  touches : int list;  (* new ranks of inserted and updated rows, ascending *)
+  gaps : int list;     (* new rank following each deleted row, ascending *)
+}
+
+(* Number of rows (0-based index of the first row) whose order value is
+   below [v], or with [~past_equal] at most [v]. *)
+let order_bound ~ocol (rows : Row.t array) v ~past_equal =
+  let lo = ref 0 and hi = ref (Array.length rows) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    let c = Value.compare (Row.get rows.(mid) ocol) v in
+    if c < 0 || (past_equal && c = 0) then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* Structural half of one partition's merge.  Depends only on the order
+   column and the ordered base rows — not on the view's value column,
+   aggregate or frame — which is what shared-scan maintenance exploits:
+   every view of a scan-share class has the same [base_rows], so the
+   merge is computed once and replayed per view. *)
 let merge_structure ~ocol (base_rows : Row.t array) ~sorted_inserts ~deletes
     ~updates =
   let n = Array.length base_rows in
-  let status = Array.make n `Keep in
-  let claim row f =
+  (* claim one old rank per delete, then per update: the first unclaimed
+     equal row among the ties of its order value *)
+  let claimed = Hashtbl.create 8 in
+  let claim row =
+    let v = Row.get row ocol in
     let rec go k =
-      if k >= n then raise (Not_maintainable "edited row not found in view state")
-      else
-        match status.(k) with
-        | `Keep when Row.equal base_rows.(k) row -> status.(k) <- f
-        | _ -> go (k + 1)
+      if k >= n || Value.compare (Row.get base_rows.(k) ocol) v <> 0 then
+        raise (Not_maintainable "edited row not found in view state")
+      else if (not (Hashtbl.mem claimed k)) && Row.equal base_rows.(k) row then begin
+        Hashtbl.add claimed k ();
+        k + 1
+      end
+      else go (k + 1)
     in
-    go 0
+    go (order_bound ~ocol base_rows v ~past_equal:false)
   in
-  List.iter (fun r -> claim r `Drop) deletes;
-  List.iter (fun (o, nw) -> claim o (`Set nw)) updates;
-  (* two-pointer merge over old ranks and sorted inserts *)
-  let new_rows = ref [] and n2o = ref [] in
-  let touches = ref [] and gaps = ref [] in
-  let nk = ref 0 in
-  let take row ~old_rank ~event =
-    incr nk;
-    new_rows := row :: !new_rows;
-    n2o := old_rank :: !n2o;
-    if event then touches := !nk :: !touches
-  in
-  let rec merge old_k ins =
-    if old_k > n then List.iter (fun r -> take r ~old_rank:0 ~event:true) ins
-    else
-      let old_row = base_rows.(old_k - 1) in
+  let dropped = List.map (fun r -> (claim r, None)) deletes in
+  let set = List.map (fun (o, nw) -> (claim o, Some nw)) updates in
+  let edits = Array.of_list (dropped @ set) in
+  Array.sort (fun (a, _) (b, _) -> Int.compare a b) edits;
+  let n' = n - List.length deletes + List.length sorted_inserts in
+  if n' = 0 then `Drop
+  else begin
+    let rows' = Array.make n' [||] in
+    let runs = ref [] and touches = ref [] and gaps = ref [] in
+    let nk = ref 0 (* new ranks filled *) and ok = ref 1 (* next old rank *) in
+    let keep_to hi =
+      let len = hi - !ok + 1 in
+      if len > 0 then begin
+        Array.blit base_rows (!ok - 1) rows' !nk len;
+        runs := { old_lo = !ok; new_lo = !nk + 1; len } :: !runs;
+        nk := !nk + len;
+        ok := hi + 1
+      end
+    in
+    let emit row =
+      rows'.(!nk) <- row;
+      incr nk;
+      touches := !nk :: !touches
+    in
+    (* an insert goes before the first old row with a greater order
+       value; [p] counts the old rows it follows *)
+    let rec go ins e =
       match ins with
-      | r :: rest
-        when Value.compare (Row.get r ocol) (Row.get old_row ocol) < 0 ->
-        take r ~old_rank:0 ~event:true;
-        merge old_k rest
-      | _ ->
-        (match status.(old_k - 1) with
-         | `Keep -> take old_row ~old_rank:old_k ~event:false
-         | `Set nr -> take nr ~old_rank:old_k ~event:true
-         | `Drop -> gaps := (!nk + 1) :: !gaps);
-        merge (old_k + 1) ins
-  in
-  merge 1 sorted_inserts;
-  if !nk = 0 then `Drop
-  else
+      | (p, row) :: rest when e >= Array.length edits || p < fst edits.(e) ->
+        keep_to p;
+        emit row;
+        go rest e
+      | _ when e < Array.length edits ->
+        let r, set = edits.(e) in
+        keep_to (r - 1);
+        (match set with
+         | None -> gaps := (!nk + 1) :: !gaps
+         | Some nw -> emit nw);
+        ok := r + 1;
+        go ins (e + 1)
+      | _ -> keep_to n
+    in
+    go
+      (List.map
+         (fun r -> (order_bound ~ocol base_rows (Row.get r ocol) ~past_equal:true, r))
+         sorted_inserts)
+      0;
     `Edit
-      ( Array.of_list (List.rev !new_rows),
-        Array.of_list (List.rev !n2o),
-        !touches,
-        !gaps )
+      {
+        rows';
+        runs = List.rev !runs;
+        touches = List.rev !touches;
+        gaps = List.rev !gaps;
+      }
+  end
 
-(* Per-view half: re-extract the raw values with the view's value
-   column, mark the window spans the merge events dirtied, recompute
-   each contiguous dirty run with one pipelined span scan (clean
-   positions copy their old value under the run-local rank shift), and
-   install.  A partition at least half-dirty is recomputed outright. *)
-let apply_merge st (p : partition_state) ~rows' ~n2o ~touches ~gaps =
+(* Per-view half: build the raw values and the sequence from the merge
+   runs, recompute the dirty spans, and install. *)
+let apply_merge st (p : partition_state) (m : merge) =
   let agg = core_agg st.spec.agg in
   let frame = st.spec.frame in
   let n = Array.length p.base_rows in
-  let n' = Array.length rows' in
-  let raw' = Core.Seqdata.raw_of_array (Array.map (value_of st) rows') in
+  let n' = Array.length m.rows' in
+  let data = Array.make n' 0. in
+  List.iter
+    (fun r ->
+      Core.Seqdata.raw_blit p.raw ~pos:r.old_lo data ~dst_pos:(r.new_lo - 1) ~len:r.len)
+    m.runs;
+  List.iter (fun k -> data.(k - 1) <- value_of st m.rows'.(k - 1)) m.touches;
+  let raw' = Core.Seqdata.raw_of_array data in
   let lo', hi' = Core.Seqdata.complete_range frame ~n:n' in
   let l, h =
     match frame with
     | Core.Frame.Sliding { l; h } -> (l, h)
     | Core.Frame.Cumulative -> (max n' n, 0)
   in
+  (* the dirty positions as ascending, disjoint, non-adjacent spans *)
+  let dirty =
+    List.map (fun k -> (k - h, k + l)) m.touches
+    @ List.map (fun g -> (g - h, g + l - 1)) m.gaps
+    |> List.filter_map (fun (a, b) ->
+           let a = max lo' a and b = min hi' b in
+           if a <= b then Some (a, b) else None)
+    |> List.sort compare
+    |> List.fold_left
+         (fun acc (a, b) ->
+           match acc with
+           | (a0, b0) :: rest when a <= b0 + 1 -> (a0, max b0 b) :: rest
+           | _ -> (a, b) :: acc)
+         []
+    |> List.rev
+  in
   let size = hi' - lo' + 1 in
-  let dirty = Array.make size false in
-  let mark lo hi =
-    for i = max lo' lo to min hi' hi do
-      dirty.(i - lo') <- true
-    done
-  in
-  List.iter (fun k -> mark (k - h) (k + l)) touches;
-  List.iter (fun g -> mark (g - h) (g + l - 1)) gaps;
-  let dirty_count =
-    Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 dirty
-  in
+  let dirty_count = List.fold_left (fun acc (a, b) -> acc + b - a + 1) 0 dirty in
   let seq' =
     if 2 * dirty_count >= size then
       (* the delta is wider than the view: recompute the partition *)
       Core.Compute.sequence ~agg frame raw'
     else begin
       let out = Array.make size 0. in
-      for i = lo' to hi' do
-        if not dirty.(i - lo') then begin
-          let anchor = max 1 (min n' i) in
-          let s = n2o.(anchor - 1) - anchor in
-          out.(i - lo') <- Core.Seqdata.get p.seq (i + s)
-        end
-      done;
-      let i = ref lo' in
-      while !i <= hi' do
-        if not dirty.(!i - lo') then incr i
-        else begin
-          let rlo = !i in
-          let rhi = ref rlo in
-          while !rhi < hi' && dirty.(!rhi + 1 - lo') do
-            incr rhi
-          done;
+      (* every clean position lies in a run (the runs at the ends also
+         cover the header and trailer) and keeps its old value under the
+         run's shift; dirty positions are overwritten below *)
+      List.iter
+        (fun r ->
+          let a = if r.new_lo = 1 then lo' else r.new_lo in
+          let b = if r.new_lo + r.len - 1 = n' then hi' else r.new_lo + r.len - 1 in
+          Core.Seqdata.blit p.seq ~pos:(a + r.old_lo - r.new_lo) out ~dst_pos:(a - lo')
+            ~len:(b - a + 1))
+        m.runs;
+      List.iter
+        (fun (rlo, rhi) ->
           let span =
             match frame with
             | Core.Frame.Sliding _ ->
-              Core.Maintain.recompute_span ~agg ~l ~h raw' ~lo:rlo ~hi:!rhi
+              Core.Maintain.recompute_span ~agg ~l ~h raw' ~lo:rlo ~hi:rhi
             | Core.Frame.Cumulative ->
               let seed =
                 if rlo = 1 then
@@ -534,43 +492,16 @@ let apply_merge st (p : partition_state) ~rows' ~n2o ~touches ~gaps =
                   | Core.Agg.Min | Core.Agg.Max -> Core.Agg.absent
                 else out.(rlo - 1 - lo')
               in
-              Core.Maintain.recompute_cumulative_span ~agg raw' ~seed ~lo:rlo
-                ~hi:!rhi
+              Core.Maintain.recompute_cumulative_span ~agg raw' ~seed ~lo:rlo ~hi:rhi
           in
-          Array.blit span 0 out (rlo - lo') (Array.length span);
-          i := !rhi + 1
-        end
-      done;
+          Array.blit span 0 out (rlo - lo') (Array.length span))
+        dirty;
       Core.Seqdata.make frame agg ~n:n' ~lo:lo' out
     end
   in
-  p.base_rows <- rows';
+  p.base_rows <- m.rows';
   p.raw <- raw';
   p.seq <- seq'
-
-let apply_partition_batch st pkey ~inserts ~deletes ~updates =
-  let sorted_inserts = sort_inserts ~ocol:st.ocol inserts in
-  match find_partition st pkey with
-  | None ->
-    if deletes <> [] || updates <> [] then
-      raise (Not_maintainable "edited row not found in view state");
-    if sorted_inserts <> [] then begin
-      let rows = Array.of_list sorted_inserts in
-      let raw = Core.Seqdata.raw_of_array (Array.map (value_of st) rows) in
-      let seq = Core.Compute.sequence ~agg:(core_agg st.spec.agg) st.spec.frame raw in
-      st.parts <-
-        List.sort
-          (fun a b -> compare_pkey a.pkey b.pkey)
-          ({ pkey; base_rows = rows; raw; seq } :: st.parts)
-    end
-  | Some p ->
-    (match
-       merge_structure ~ocol:st.ocol p.base_rows ~sorted_inserts
-         ~deletes ~updates
-     with
-     | `Drop -> st.parts <- List.filter (fun q -> q != p) st.parts
-     | `Edit (rows', n2o, touches, gaps) ->
-       apply_merge st p ~rows' ~n2o ~touches ~gaps)
 
 (* Group one consolidated delta by partition key (first-seen order),
    normalizing updates that move a row (order or partition changed) to
@@ -614,37 +545,72 @@ let group_edits st ~inserts ~deletes ~updates =
       (pkey, (List.rev !ins, List.rev !del, List.rev !upd)))
     !groups
 
-let apply_batch st ~inserts ~deletes ~updates =
-  Fault.hit site_apply_batch;
-  List.iter
-    (fun (pkey, (ins, del, upd)) ->
-      apply_partition_batch st pkey ~inserts:ins ~deletes:del ~updates:upd)
-    (group_edits st ~inserts ~deletes ~updates)
-
-(* ---- Shared-scan batched maintenance ----
-
-   All sequence views of one scan-share class (same base table, same
-   partition columns, same order column — certified by
-   Rfview_analysis.Share and re-checked here) keep bit-identical
-   [base_rows] per partition: both initialization and every maintenance
-   path are deterministic functions of the base contents and the shared
-   (partition, order) key.  So the per-view work that depends only on
-   that structure — delta grouping, claim matching, the two-pointer
-   merge and the rank map — is computed ONCE against a representative
-   state ([shared_plan]) and replayed into each view ([apply_shared]),
-   leaving per view only the value re-extraction and the dirty-span
-   sequence recompute. *)
-
+(* What a delta does to one partition, computed against a state whose
+   ordered rows are the class's shared structure. *)
 type partition_plan =
   | P_new of Row.t array  (* no partition under this key: fresh sorted rows *)
   | P_drop                (* the partition empties *)
-  | P_edit of {
-      rows' : Row.t array;
-      n2o : int array;
-      touches : int list;
-      gaps : int list;
-      old_len : int;  (* every member's partition must have this length *)
-    }
+  | P_edit of { merge : merge; old_len : int }
+
+let plan_partitions st ~inserts ~deletes ~updates =
+  List.map
+    (fun (pkey, (ins, del, upd)) ->
+      let sorted_inserts = sort_inserts ~ocol:st.ocol ins in
+      match find_partition st pkey with
+      | None ->
+        if del <> [] || upd <> [] then
+          raise (Not_maintainable "edited row not found in view state");
+        (pkey, P_new (Array.of_list sorted_inserts))
+      | Some p ->
+        (match
+           merge_structure ~ocol:st.ocol p.base_rows ~sorted_inserts ~deletes:del
+             ~updates:upd
+         with
+         | `Drop -> (pkey, P_drop)
+         | `Edit merge -> (pkey, P_edit { merge; old_len = Array.length p.base_rows })))
+    (group_edits st ~inserts ~deletes ~updates)
+
+(* Replay one partition plan into [st]. *)
+let install_partition st (pkey, pplan) =
+  let diverged () =
+    (* the state's partitions differ structurally from the ones the plan
+       was made against: a broken scan-share class invariant *)
+    raise (Not_maintainable "shared-scan state divergence")
+  in
+  match (pplan, find_partition st pkey) with
+  | P_new rows, None -> add_partition st (new_partition st pkey rows)
+  | P_drop, Some p -> drop_partition st p
+  | P_edit { merge; old_len }, Some p ->
+    if Array.length p.base_rows <> old_len then diverged ();
+    apply_merge st p merge
+  | P_new _, Some _ | P_drop, None | P_edit _, None -> diverged ()
+
+let apply_batch st ~inserts ~deletes ~updates =
+  Fault.hit site_apply_batch;
+  List.iter (install_partition st) (plan_partitions st ~inserts ~deletes ~updates)
+
+(* Kept for the benchmark's single-row probe only: each is one
+   single-row {!apply_batch}. *)
+let apply_insert st row = apply_batch st ~inserts:[ row ] ~deletes:[] ~updates:[]
+let apply_delete st row = apply_batch st ~inserts:[] ~deletes:[ row ] ~updates:[]
+
+let apply_update st ~old_row ~new_row =
+  apply_batch st ~inserts:[] ~deletes:[] ~updates:[ (old_row, new_row) ]
+
+(* ---- Shared-scan maintenance ----
+
+   All sequence views of one scan-share class (same base table, same
+   partition columns, same order column — certified by
+   Rfview_analysis.Share and re-checked here) keep the same [base_rows]
+   per partition: both initialization and every maintenance step are
+   deterministic functions of the base contents and the shared
+   (partition, order) key.  So the per-view work that depends only on
+   that structure — delta grouping, claim matching, the merge runs and
+   the merged row arrays — is computed ONCE against a representative
+   state ([shared_plan]) and replayed into each view ([apply_shared]),
+   leaving per view only the raw values and the dirty-span sequence
+   recompute.  Members share the merged row arrays: no state writes into
+   one in place. *)
 
 type shared_plan = {
   shp_pcols : int list;
@@ -666,68 +632,17 @@ let shared_plan states ~inserts ~deletes ~updates : shared_plan =
              <> String.lowercase_ascii rep.spec.source
         then invalid_arg "Matview.shared_plan: states disagree on the scan key")
       rest;
-    let parts =
-      List.map
-        (fun (pkey, (ins, del, upd)) ->
-          let sorted_inserts = sort_inserts ~ocol:rep.ocol ins in
-          match find_partition rep pkey with
-          | None ->
-            if del <> [] || upd <> [] then
-              raise (Not_maintainable "edited row not found in view state");
-            (pkey, P_new (Array.of_list sorted_inserts))
-          | Some p ->
-            (match
-               merge_structure ~ocol:rep.ocol p.base_rows ~sorted_inserts
-                 ~deletes:del ~updates:upd
-             with
-             | `Drop -> (pkey, P_drop)
-             | `Edit (rows', n2o, touches, gaps) ->
-               ( pkey,
-                 P_edit
-                   {
-                     rows';
-                     n2o;
-                     touches;
-                     gaps;
-                     old_len = Array.length p.base_rows;
-                   } )))
-        (group_edits rep ~inserts ~deletes ~updates)
-    in
-    { shp_pcols = rep.pcols; shp_ocol = rep.ocol; shp_parts = parts }
+    {
+      shp_pcols = rep.pcols;
+      shp_ocol = rep.ocol;
+      shp_parts = plan_partitions rep ~inserts ~deletes ~updates;
+    }
 
 let apply_shared (plan : shared_plan) st =
   Fault.hit site_apply_shared;
   if st.pcols <> plan.shp_pcols || st.ocol <> plan.shp_ocol then
     invalid_arg "Matview.apply_shared: state disagrees with the plan's scan key";
-  let diverged () =
-    (* the member's partitions differ structurally from the
-       representative's: the class invariant is broken, fall back *)
-    raise (Not_maintainable "shared-scan state divergence")
-  in
-  List.iter
-    (fun (pkey, pplan) ->
-      match (pplan, find_partition st pkey) with
-      | P_new rows, None ->
-        if Array.length rows > 0 then begin
-          let rows = Array.copy rows in
-          let raw = Core.Seqdata.raw_of_array (Array.map (value_of st) rows) in
-          let seq =
-            Core.Compute.sequence ~agg:(core_agg st.spec.agg) st.spec.frame raw
-          in
-          st.parts <-
-            List.sort
-              (fun a b -> compare_pkey a.pkey b.pkey)
-              ({ pkey; base_rows = rows; raw; seq } :: st.parts)
-        end
-      | P_drop, Some p -> st.parts <- List.filter (fun q -> q != p) st.parts
-      | P_edit { rows'; n2o; touches; gaps; old_len }, Some p ->
-        if Array.length p.base_rows <> old_len then diverged ();
-        (* each view installs its own copy: rows arrays are mutated in
-           place by the per-row update path and must not be aliased
-           across states *)
-        apply_merge st p ~rows':(Array.copy rows') ~n2o ~touches ~gaps
-      | P_new _, Some _ | P_drop, None | P_edit _, None -> diverged ())
-    plan.shp_parts
+  List.iter (install_partition st) plan.shp_parts
 
 (* ---- Derived views (generalized IVM) ----
 
@@ -735,7 +650,7 @@ let apply_shared (plan : shared_plan) st =
    window sets — maintain through the algebraic delta plans of
    Planner.Deriv.  The engine derives the rules once at refresh time
    (gated on a valid Ivmcert incrementality certificate) and replays
-   them here at each batch commit; the state is immutable (rules plus
+   them here for each maintained delta; the state is immutable (rules plus
    source tables), so undo snapshots are just the binding. *)
 
 module Derived = struct
@@ -753,7 +668,7 @@ module Derived = struct
   let shape_name t = Deriv.shape_name t.rules
   let has_window t = Deriv.has_window t.rules
 
-  (* Apply one consolidated batch delta to the view's contents.
+  (* Apply one consolidated delta to the view's contents.
      @raise Deriv.Divergence when an exact removal finds no row (the
      engine falls back to a full refresh). *)
   let apply_batch t ~(env : Deriv.env) ~(contents : Relation.t) : Relation.t =

@@ -10,7 +10,8 @@
     with simple column references, one ordering column and a cumulative
     or sliding ROWS frame.  The engine then keeps a per-partition core
     representation (raw data + complete sequence) and maintains it
-    incrementally under base-table DML; other views get full refreshes.
+    incrementally from each consolidated base-table delta (a batch, or
+    one statement as a batch of one); other views get full refreshes.
 
     The value column must be numeric and NULL-free for the incremental
     path; otherwise {!init_state} raises and the engine falls back. *)
@@ -61,30 +62,29 @@ exception Not_maintainable of string
     @raise Not_maintainable per the restrictions above. *)
 val init_state : seq_spec -> base:Relation.t -> out_schema:Schema.t -> state
 
-(** Deep copy of the mutable layers (for undo-log snapshots): immutable
-    rows and sequence values are shared, partition records and their
-    arrays are copied. *)
+(** Copy of the mutable layers (for undo-log snapshots): the state and
+    partition records.  No array a state holds is written in place —
+    maintenance installs fresh row, raw-value and sequence arrays — so
+    the arrays are shared. *)
 val copy_state : state -> state
 
 (** Render the view contents from the state. *)
 val render : state -> Relation.t
 
-(** Incremental DML application (§2.3 rules under the hood).  Update of
-    the ordering or partition column is handled as delete + insert.
-    @raise Not_maintainable when a row cannot be located or the new value
-    is unusable; the engine then falls back to a full refresh. *)
-
-val apply_insert : state -> Row.t -> unit
-val apply_delete : state -> Row.t -> unit
-val apply_update : state -> old_row:Row.t -> new_row:Row.t -> unit
-
-(** Batched application of one table's consolidated delta (multi-row
-    §2.3): per partition, edits are merged into the ordered rows in one
-    two-pointer pass and each contiguous run of dirty sequence positions
-    is recomputed with a single pipelined span scan; positions outside
-    every touched window copy their old value under the rank shift.  A
-    partition at least half-dirty is recomputed outright.
-    @raise Not_maintainable as for the per-row entry points. *)
+(** Incremental maintenance (§2.3 over a consolidated delta): apply one
+    table's net change — a batch, or a single statement as a batch of
+    one.  Per partition, each deleted or updated row is found by binary
+    search on the order column; the merge is described as runs of kept
+    rows, so the new row, raw-value and sequence arrays are built by one
+    memory copy per run, and only inserted and updated rows read the
+    value column.  Each contiguous run of dirty sequence positions is
+    recomputed with a single pipelined span scan; a partition at least
+    half-dirty is recomputed outright.  An update of the ordering or
+    partition column is handled as delete + insert; an in-place update
+    keeps the row's rank among equal order values, and inserts land
+    after equal order values, in arrival order.
+    @raise Not_maintainable when a row cannot be located or a value is
+    unusable; the engine then falls back to a full refresh. *)
 val apply_batch :
   state ->
   inserts:Row.t list ->
@@ -92,13 +92,20 @@ val apply_batch :
   updates:(Row.t * Row.t) list ->
   unit
 
-(** Shared-scan batched maintenance.  Every sequence view of one
-    scan-share class (same base table, partition columns and order
-    column — certified statically by [Rfview_analysis.Share] and
-    re-checked at runtime) keeps bit-identical ordered [base_rows] per
-    partition, so the structural half of {!apply_batch} — delta
-    grouping, claim matching, the two-pointer merge and the rank map —
-    is view-independent.  {!shared_plan} computes it once against a
+(** Single-row {!apply_batch} calls, kept only for the benchmark's
+    maintenance probe; the engine does not use them. *)
+
+val apply_insert : state -> Row.t -> unit
+val apply_delete : state -> Row.t -> unit
+val apply_update : state -> old_row:Row.t -> new_row:Row.t -> unit
+
+(** Shared-scan maintenance.  Every sequence view of one scan-share
+    class (same base table, partition columns and order column —
+    certified statically by [Rfview_analysis.Share] and re-checked at
+    runtime) keeps bit-identical ordered [base_rows] per partition, so
+    the structural half of {!apply_batch} — delta grouping, claim
+    matching, the merge runs and the merged row arrays — is
+    view-independent.  {!shared_plan} computes it once against a
     representative (the head of the class); {!apply_shared} replays it
     into each member, leaving per view only value re-extraction and the
     dirty-span sequence recompute.  Results are bit-identical to running
@@ -119,8 +126,8 @@ val shared_plan :
   updates:(Row.t * Row.t) list ->
   shared_plan
 
-(** Replay the shared merge into one member state.  Each member installs
-    its own copies of the merged row arrays (no aliasing across states).
+(** Replay the shared merge into one member state.  Members share the
+    merged row arrays, which no state writes into.
     @raise Not_maintainable when this member's partitions diverge
     structurally from the plan (broken class invariant); the engine then
     falls back to a full refresh of that member only. *)
@@ -130,8 +137,8 @@ val apply_shared : shared_plan -> state -> unit
     views beyond the sequence shape — the delta rules of
     {!Rfview_planner.Deriv} plus their source tables.  The engine
     installs one per view whose derivation succeeded under a valid
-    {!Rfview_analysis.Ivmcert} certificate and replays it at each batch
-    commit. *)
+    {!Rfview_analysis.Ivmcert} certificate and replays it for each
+    maintained delta (a batch, or a statement as a batch of one). *)
 module Derived : sig
   module Deriv := Rfview_planner.Deriv
 
@@ -145,7 +152,7 @@ module Derived : sig
   val shape_name : t -> string
   val has_window : t -> bool
 
-  (** Apply one consolidated batch delta to the view's contents,
+  (** Apply one consolidated delta to the view's contents,
       returning the new contents.
       @raise Deriv.Divergence when the delta disagrees with the
       materialized rows; the engine then falls back to full refresh. *)

@@ -61,7 +61,7 @@ val derive : Logical.t -> (t, reject list) result
 
 (** {1 Evaluation}
 
-    The engine supplies the batch delta and post-state sub-plan
+    The engine supplies the consolidated delta and post-state sub-plan
     evaluation; the deriver stays free of engine dependencies. *)
 
 type env = {

@@ -172,6 +172,86 @@ let test_matview_fallback_on_nulls () =
   in
   check_same_bag "still correct" (Db.query db "SELECT * FROM v") reference
 
+(* Matview-level reference: applying one random consolidated delta with
+   [Matview.apply_batch] must leave exactly the state [init_state] builds
+   from the changed base — the same partitions, ordered rows, raw values
+   and complete sequences, header and trailer included (which rendering
+   never reads, but derivation from the view does).  Order keys are
+   unique, so the row order is determined. *)
+let prop_batch_matches_init (base, actions, inserts, frame, agg) =
+  let schema =
+    Schema.make
+      [ Schema.column "grp" Dtype.Int; Schema.column "pos" Dtype.Int;
+        Schema.column "val" Dtype.Float ]
+  in
+  let spec =
+    Option.get
+      (Matview.recognize
+         (Parser.query
+            (Printf.sprintf
+               "SELECT grp, pos, val, %s(val) OVER (PARTITION BY grp ORDER BY pos %s) \
+                AS s FROM t"
+               agg frame)))
+  in
+  let init rows =
+    Matview.init_state spec ~base:(Relation.of_array schema (Array.of_list rows))
+      ~out_schema:schema
+  in
+  let row g p v = [| Value.Int g; Value.Int p; Value.Float (float_of_int v) |] in
+  (* base rows sit at even positions, new positions are odd and fresh *)
+  let base = List.mapi (fun i (g, v) -> row g (2 * i) v) base in
+  let fresh = ref (-1) in
+  let next_pos () = fresh := !fresh + 2; 2 * List.length base + !fresh in
+  let deletes = ref [] and updates = ref [] and kept = ref [] in
+  List.iteri
+    (fun i r ->
+      match List.nth_opt actions i with
+      | Some 0 -> deletes := r :: !deletes
+      | Some 1 -> updates := (r, [| r.(0); r.(1); Value.Float 7. |]) :: !updates
+      | Some 2 ->
+        (* a move: new position and partition *)
+        updates := (r, [| Value.Int 2; Value.Int (next_pos ()); r.(2) |]) :: !updates
+      | _ -> kept := r :: !kept)
+    base;
+  let inserts = List.map (fun (g, v) -> row g (next_pos ()) v) inserts in
+  let st = init base in
+  Matview.apply_batch st ~inserts ~deletes:(List.rev !deletes)
+    ~updates:(List.rev !updates);
+  let expected = init (List.rev !kept @ List.map snd (List.rev !updates) @ inserts) in
+  let same_part (a : Matview.partition_state) (b : Matview.partition_state) =
+    a.Matview.pkey = b.Matview.pkey
+    && Array.length a.Matview.base_rows = Array.length b.Matview.base_rows
+    && Array.for_all2 Row.equal a.Matview.base_rows b.Matview.base_rows
+    && Core.Seqdata.raw_to_array a.Matview.raw = Core.Seqdata.raw_to_array b.Matview.raw
+    && Core.Seqdata.stored_lo a.Matview.seq = Core.Seqdata.stored_lo b.Matview.seq
+    && Core.Seqdata.to_array a.Matview.seq = Core.Seqdata.to_array b.Matview.seq
+  in
+  List.length st.Matview.parts = List.length expected.Matview.parts
+  && List.for_all2 same_part st.Matview.parts expected.Matview.parts
+
+let arb_batch_delta =
+  QCheck.make
+    ~print:(fun (base, actions, inserts, frame, agg) ->
+      let pairs l =
+        String.concat " " (List.map (fun (a, b) -> Printf.sprintf "(%d,%d)" a b) l)
+      in
+      Printf.sprintf "base=[%s] actions=[%s] inserts=[%s] %s %s" (pairs base)
+        (String.concat " " (List.map string_of_int actions))
+        (pairs inserts) agg frame)
+    QCheck.Gen.(
+      let gv = pair (int_range 0 2) (int_range (-9) 9) in
+      let* base = list_size (int_range 0 30) gv in
+      let* actions = list_repeat (List.length base) (int_range 0 7) in
+      let* inserts = list_size (int_range 0 6) gv in
+      let* frame =
+        oneofl
+          [ "ROWS UNBOUNDED PRECEDING"; "ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING";
+            "ROWS BETWEEN 3 PRECEDING AND CURRENT ROW";
+            "ROWS BETWEEN 1 PRECEDING AND 3 FOLLOWING" ]
+      in
+      let* agg = oneofl [ "SUM"; "MIN"; "MAX" ] in
+      return (base, actions, inserts, frame, agg))
+
 (* Randomized DML stream: incremental contents must always equal a full
    recomputation of the definition.  Positions are kept unique (duplicate
    ORDER BY keys make window results tie-order-dependent, in real SQL
@@ -702,6 +782,9 @@ let () =
             test_matview_incremental_insert_delete_update;
           Alcotest.test_case "partitioned" `Quick test_matview_partitioned;
           Alcotest.test_case "fallback on NULLs" `Quick test_matview_fallback_on_nulls;
+          QCheck_alcotest.to_alcotest
+            (QCheck.Test.make ~count:300 ~name:"batch equals init_state"
+               arb_batch_delta prop_batch_matches_init);
           QCheck_alcotest.to_alcotest
             (QCheck.Test.make ~count:100 ~name:"random DML stream" arb_dml_stream
                prop_matview_dml_stream);

@@ -153,9 +153,9 @@ let rollback_cases =
     ("matview.init_state",
      "CREATE MATERIALIZED VIEW v2 AS SELECT pos, val, MIN(val) OVER (ORDER BY \
       pos ROWS BETWEEN 3 PRECEDING AND CURRENT ROW) AS m FROM seq", true);
-    ("matview.apply_insert", "INSERT INTO seq VALUES (10, 99)", true);
-    ("matview.apply_delete", "DELETE FROM seq WHERE pos = 1", true);
-    ("matview.apply_update", "UPDATE seq SET val = 99 WHERE pos = 2", true);
+    ("matview.apply_batch", "INSERT INTO seq VALUES (10, 99)", true);
+    ("matview.apply_batch", "DELETE FROM seq WHERE pos = 1", true);
+    ("matview.apply_batch", "UPDATE seq SET val = 99 WHERE pos = 2", true);
   ]
 
 let test_rollback_per_site () =
@@ -227,14 +227,14 @@ let test_ddl_rollback () =
 let test_quarantine_and_heal () =
   with_clean_faults (fun () ->
       let db = db_with_view [ 1.; 2.; 3. ] in
-      Fault.arm "matview.apply_insert" Fault.Always;
+      Fault.arm "matview.apply_batch" Fault.Always;
       (* default [`Quarantine]: the statement succeeds, the view goes stale *)
       ignore (Db.exec db "INSERT INTO seq VALUES (4, 40)");
       Alcotest.(check int) "base row applied" 4
         (Relation.cardinality (Db.query db "SELECT * FROM seq"));
       Alcotest.(check bool) "view quarantined" true (Db.is_stale db "v");
       Alcotest.(check (list string)) "stale_views lists it" [ "v" ] (Db.stale_views db);
-      Fault.disarm "matview.apply_insert";
+      Fault.disarm "matview.apply_batch";
       (* the next read heals by full refresh *)
       let r = Db.query db "SELECT * FROM v" in
       Alcotest.(check bool) "healed by the read" false (Db.is_stale db "v");
@@ -360,7 +360,7 @@ let prop_sites =
   [
     "database.apply_insert"; "database.apply_delete"; "database.apply_update";
     "database.propagate_view"; "database.refresh_view"; "matview.init_state";
-    "matview.apply_insert"; "matview.apply_delete"; "matview.apply_update";
+    "matview.apply_batch";
   ]
 
 (* A short random DML stream; values are integers so SQL text round-trips
@@ -565,30 +565,44 @@ let test_stale_views_sorted () =
 
 (* ---- Batched delta maintenance ----
 
-   The group-commit path must be observationally identical to per-row
-   maintenance: same final state (bit-identical fingerprint), one
-   propagation per dependent view per batch instead of per statement,
-   and cache entries that never serve a pre-batch answer after commit. *)
+   Every statement reaches the views as a consolidated delta: outside a
+   batch it is a batch of one.  Committing a stream statement at a time
+   must land on exactly the state of committing it in chunked batches
+   (bit-identical fingerprint), and both must agree with recomputing
+   every view from scratch; a batch propagates once per dependent view,
+   and cache entries never serve a pre-batch answer after commit. *)
 
-let test_batch_vs_per_row () =
+let check_views_recompute what db =
+  List.iter
+    (fun (v : Catalog.view) ->
+      check_same_bag
+        (Printf.sprintf "%s: view %s equals recomputation" what v.Catalog.view_name)
+        (Db.query db ("SELECT * FROM " ^ v.Catalog.view_name))
+        (Db.run_query db v.Catalog.definition))
+    (Catalog.all_views (Db.catalog db))
+
+let test_statements_vs_batch () =
   with_clean_faults (fun () ->
       let stream = gen_stream 42 in
-      let per_row = db_with_view [ 1.; 2.; 3. ] in
-      List.iter (fun sql -> ignore (Db.exec per_row sql)) stream;
+      let stepwise = db_with_view [ 1.; 2.; 3. ] in
+      List.iter (fun sql -> ignore (Db.exec stepwise sql)) stream;
       let batched = db_with_view [ 1.; 2.; 3. ] in
       Db.with_batch batched (fun () ->
           List.iter (fun sql -> ignore (Db.exec batched sql)) stream);
-      Alcotest.(check string) "batched state bit-identical to per-row"
-        (Chaos.fingerprint per_row) (Chaos.fingerprint batched))
+      Alcotest.(check string) "batched state bit-identical to statement-at-a-time"
+        (Chaos.fingerprint stepwise) (Chaos.fingerprint batched);
+      check_views_recompute "statement-at-a-time" stepwise;
+      check_views_recompute "batched" batched)
 
 (* Random streams, random chunking: running the stream in [with_batch]
-   chunks of any size must land on exactly the per-row state. *)
+   chunks of any size must land on exactly the statement-at-a-time
+   state, and every view of both must equal its recomputation. *)
 let prop_batch_equivalence (seed, chunk) =
   with_clean_faults (fun () ->
       let stream = Array.of_list (gen_stream seed) in
       let n = Array.length stream in
-      let per_row = db_with_view [ 1.; 2.; 3. ] in
-      Array.iter (fun sql -> ignore (Db.exec per_row sql)) stream;
+      let stepwise = db_with_view [ 1.; 2.; 3. ] in
+      Array.iter (fun sql -> ignore (Db.exec stepwise sql)) stream;
       let batched = db_with_view [ 1.; 2.; 3. ] in
       let i = ref 0 in
       while !i < n do
@@ -599,10 +613,25 @@ let prop_batch_equivalence (seed, chunk) =
             done);
         i := last
       done;
-      let ok = Chaos.fingerprint per_row = Chaos.fingerprint batched in
-      if not ok then
-        QCheck.Test.fail_reportf "batched (chunk=%d) diverged from per-row" chunk;
-      ok)
+      if Chaos.fingerprint stepwise <> Chaos.fingerprint batched then
+        QCheck.Test.fail_reportf "batched (chunk=%d) diverged from statement-at-a-time"
+          chunk;
+      List.iter
+        (fun (what, db) ->
+          List.iter
+            (fun (v : Catalog.view) ->
+              if
+                not
+                  (Relation.equal_bag
+                     (Db.query db ("SELECT * FROM " ^ v.Catalog.view_name))
+                     (Db.run_query db v.Catalog.definition))
+              then
+                QCheck.Test.fail_reportf
+                  "%s (chunk=%d): view %s differs from recomputation" what chunk
+                  v.Catalog.view_name)
+            (Catalog.all_views (Db.catalog db)))
+        [ ("statement-at-a-time", stepwise); ("batched", batched) ];
+      true)
 
 let arb_batch_case =
   QCheck.make
@@ -611,6 +640,166 @@ let arb_batch_case =
       let* chunk = int_range 1 12 in
       return (seed, chunk))
     ~print:(fun (seed, chunk) -> Printf.sprintf "seed=%d chunk=%d" seed chunk)
+
+(* A wide statement outside a batch is one batch of one: a 1000-row
+   UPDATE applies one consolidated delta to the view, not 1000 per-row
+   applications. *)
+let test_wide_statement_is_one_batch () =
+  with_clean_faults (fun () ->
+      let db = db_with_view (List.init 2000 (fun i -> float_of_int (i mod 7))) in
+      let base = Fault.hits "matview.apply_batch" in
+      ignore (Db.exec db "UPDATE seq SET val = val + 1 WHERE pos <= 1000");
+      Alcotest.(check int) "one apply_batch for the whole statement" (base + 1)
+        (Fault.hits "matview.apply_batch");
+      Alcotest.(check bool) "still incrementally maintained" true
+        (Db.is_incrementally_maintained db "v");
+      check_views_recompute "after the wide UPDATE" db)
+
+(* A delta at least as wide as the table gains nothing over
+   recomputation: an UPDATE of every row takes the full-refresh path. *)
+let test_full_width_statement_refreshes () =
+  with_clean_faults (fun () ->
+      let db = db_with_view (List.init 50 float_of_int) in
+      let refreshes = Fault.hits "database.refresh_view" in
+      let applies = Fault.hits "matview.apply_batch" in
+      ignore (Db.exec db "UPDATE seq SET val = val * 2");
+      Alcotest.(check int) "one full refresh" (refreshes + 1)
+        (Fault.hits "database.refresh_view");
+      Alcotest.(check int) "no incremental application" applies
+        (Fault.hits "matview.apply_batch");
+      check_views_recompute "after the full-width UPDATE" db)
+
+(* ---- Delta consolidation against a list model ----
+
+   The plain list implementation [Delta] used to be: newest-first lists
+   searched linearly, quadratic in the statement width but easy to read.
+   The indexed [Delta] must report exactly what it reports, for any
+   stream of inserts, deletes and updates (including rows that are equal
+   without being identical, such as 1 and 1.0). *)
+module Delta_model = struct
+  type acc = {
+    ins_rev : Row.t list;
+    del_rev : Row.t list;
+    upd_rev : (Row.t * Row.t) list;
+  }
+
+  let empty = { ins_rev = []; del_rev = []; upd_rev = [] }
+
+  let rec remove_first p = function
+    | [] -> None
+    | x :: rest when p x -> Some rest
+    | x :: rest -> Option.map (fun rest' -> x :: rest') (remove_first p rest)
+
+  let rec replace_first p f = function
+    | [] -> None
+    | x :: rest when p x -> Some (f x :: rest)
+    | x :: rest -> Option.map (fun rest' -> x :: rest') (replace_first p f rest)
+
+  let add_insert a row = { a with ins_rev = row :: a.ins_rev }
+
+  let add_delete a row =
+    match remove_first (Row.equal row) a.ins_rev with
+    | Some ins_rev -> { a with ins_rev }
+    | None ->
+      (match
+         List.find_map
+           (fun (pre, cur) -> if Row.equal row cur then Some pre else None)
+           a.upd_rev
+       with
+       | Some pre ->
+         let upd_rev =
+           Option.get (remove_first (fun (_, cur) -> Row.equal row cur) a.upd_rev)
+         in
+         { a with upd_rev; del_rev = pre :: a.del_rev }
+       | None -> { a with del_rev = row :: a.del_rev })
+
+  let add_update a (old_row, new_row) =
+    match replace_first (Row.equal old_row) (fun _ -> new_row) a.ins_rev with
+    | Some ins_rev -> { a with ins_rev }
+    | None ->
+      (match
+         replace_first
+           (fun (_, cur) -> Row.equal old_row cur)
+           (fun (pre, _) -> (pre, new_row))
+           a.upd_rev
+       with
+       | Some upd_rev -> { a with upd_rev }
+       | None -> { a with upd_rev = (old_row, new_row) :: a.upd_rev })
+
+  let find a : Rfview_engine.Delta.table_delta option =
+    if a.ins_rev = [] && a.del_rev = [] && a.upd_rev = [] then None
+    else
+      Some
+        {
+          inserted = List.rev a.ins_rev;
+          deleted = List.rev a.del_rev;
+          updated = List.rev a.upd_rev;
+        }
+end
+
+type delta_op =
+  | Op_insert of string * Row.t list
+  | Op_delete of string * Row.t list
+  | Op_update of string * (Row.t * Row.t) list
+
+let prop_delta_model ops =
+  let module Delta = Rfview_engine.Delta in
+  let models = Hashtbl.create 4 in
+  let model t = Option.value (Hashtbl.find_opt models t) ~default:Delta_model.empty in
+  let step d op =
+    let record table add changes =
+      let t = String.lowercase_ascii table in
+      Hashtbl.replace models t (List.fold_left add (model t) changes)
+    in
+    match op with
+    | Op_insert (t, rows) ->
+      record t Delta_model.add_insert rows;
+      Delta.insert ~table:t rows d
+    | Op_delete (t, rows) ->
+      record t Delta_model.add_delete rows;
+      Delta.delete ~table:t rows d
+    | Op_update (t, pairs) ->
+      record t Delta_model.add_update pairs;
+      Delta.update ~table:t pairs d
+  in
+  let d = List.fold_left step Delta.empty ops in
+  List.for_all
+    (fun t ->
+      (* polymorphic equality: the same rows, not just equal ones *)
+      Delta.find d t = Delta_model.find (model t)
+      && Delta.find d (String.uppercase_ascii t) = Delta_model.find (model t))
+    [ "a"; "b" ]
+
+let arb_delta_ops =
+  let open QCheck.Gen in
+  let row =
+    let* k = int_range 0 3 in
+    let* as_float = bool in
+    let* tag = int_range 0 1 in
+    let key = if as_float then Value.Float (float_of_int k) else Value.Int k in
+    return [| key; Value.Int tag |]
+  in
+  let some g = list_size (int_range 0 3) g in
+  let op =
+    let* table = oneofl [ "a"; "A"; "b" ] in
+    frequency
+      [
+        (3, map (fun rows -> Op_insert (table, rows)) (some row));
+        (2, map (fun rows -> Op_delete (table, rows)) (some row));
+        (3, map (fun pairs -> Op_update (table, pairs)) (some (pair row row)));
+      ]
+  in
+  let show_rows rows = String.concat " " (List.map Row.to_string rows) in
+  let show = function
+    | Op_insert (t, rows) -> Printf.sprintf "insert %s [%s]" t (show_rows rows)
+    | Op_delete (t, rows) -> Printf.sprintf "delete %s [%s]" t (show_rows rows)
+    | Op_update (t, pairs) ->
+      Printf.sprintf "update %s [%s]" t
+        (String.concat " "
+           (List.map (fun (o, n) -> Row.to_string o ^ "->" ^ Row.to_string n) pairs))
+  in
+  QCheck.make (list_size (int_range 0 40) op)
+    ~print:(fun ops -> String.concat "; " (List.map show ops))
 
 let test_batch_propagates_once_per_view () =
   with_clean_faults (fun () ->
@@ -627,7 +816,7 @@ let test_batch_propagates_once_per_view () =
       in
       let base = Fault.hits "database.propagate_view" in
       inserts 10;
-      Alcotest.(check int) "per-row: one propagation per view per statement"
+      Alcotest.(check int) "unbatched: one propagation per view per statement"
         (base + 8) (Fault.hits "database.propagate_view");
       let base = Fault.hits "database.propagate_view" in
       Db.with_batch db (fun () -> inserts 20);
@@ -732,12 +921,18 @@ let () =
         ] );
       ( "batched maintenance",
         [
-          Alcotest.test_case "batch equals per-row" `Quick test_batch_vs_per_row;
+          qtest ~count:300 "delta matches list model" arb_delta_ops prop_delta_model;
+          Alcotest.test_case "statements equal one batch" `Quick
+            test_statements_vs_batch;
+          Alcotest.test_case "wide statement is one batch" `Quick
+            test_wide_statement_is_one_batch;
+          Alcotest.test_case "full-width UPDATE refreshes" `Quick
+            test_full_width_statement_refreshes;
           Alcotest.test_case "one propagation per view per batch" `Quick
             test_batch_propagates_once_per_view;
           Alcotest.test_case "cache fresh across a batch commit" `Quick
             test_batch_cache_freshness;
-          qtest ~count:100 "batch/per-row equivalence" arb_batch_case
+          qtest ~count:100 "statement/batch equivalence" arb_batch_case
             prop_batch_equivalence;
         ] );
     ]

@@ -159,9 +159,9 @@ let test_snapshot_read_only () =
 let test_snapshot_local_heal () =
   with_clean_faults (fun () ->
       let db = db_with_view [ 1.; 2.; 3. ] in
-      Fault.arm "matview.apply_insert" Fault.Always;
+      Fault.arm "matview.apply_batch" Fault.Always;
       ignore (Db.exec db "INSERT INTO seq VALUES (4, 40)");
-      Fault.disarm "matview.apply_insert";
+      Fault.disarm "matview.apply_batch";
       Alcotest.(check (list string)) "view is quarantined" [ "v" ]
         (Db.stale_views db);
       let sn = Db.snapshot db in
