@@ -18,26 +18,59 @@ let key s = String.lowercase_ascii s
    wholesale, never in place, so an index cached beside an array can
    never describe a different array: no invalidation exists.  Reader
    domains share the cache; an index is built outside the lock and the
-   first finished build wins (racing builds are equal). *)
+   first finished build wins (racing builds are equal).
+
+   A view's contents may be deferred: the value holds a render function
+   over a frozen maintenance state, and the first read runs it.  Readers
+   on several domains wait for that one render under the value's own
+   lock; once rendered the value is eager, and an eager value is read
+   without a lock. *)
+
+type source =
+  | Eager of Relation.t
+  | Deferred of { mu : Mutex.t; render : unit -> Relation.t }
 
 type indexed = {
-  rel : Relation.t;
+  schema : Schema.t;
+  source : source Atomic.t;
   mutable built : ((int * Index.kind) * Index.t) list; (* guarded by [built_mu] *)
 }
 
 let built_mu = Mutex.create ()
-let indexed rel = { rel; built = [] }
-let relation ix = ix.rel
+
+let indexed rel =
+  { schema = Relation.schema rel; source = Atomic.make (Eager rel); built = [] }
+
+let deferred schema render =
+  {
+    schema;
+    source = Atomic.make (Deferred { mu = Mutex.create (); render });
+    built = [];
+  }
+
+let schema ix = ix.schema
+
+let relation ix =
+  match Atomic.get ix.source with
+  | Eager rel -> rel
+  | Deferred { mu; render } ->
+    Mutex.protect mu (fun () ->
+        match Atomic.get ix.source with
+        | Eager rel -> rel
+        | Deferred _ ->
+          let rel = render () in
+          Atomic.set ix.source (Eager rel);
+          rel)
 
 let index ix ~column kind =
-  match Schema.find_opt (Relation.schema ix.rel) column with
+  match Schema.find_opt ix.schema column with
   | None -> None
   | Some col ->
     let cached () = List.assoc_opt (col, kind) ix.built in
     (match Mutex.protect built_mu cached with
      | Some b -> Some b
      | None ->
-       let b = Index.build kind (Relation.rows ix.rel) ~key_col:col in
+       let b = Index.build kind (Relation.rows (relation ix)) ~key_col:col in
        Some
          (Mutex.protect built_mu (fun () ->
               match cached () with
@@ -98,8 +131,8 @@ let drop_table t ~name ~if_exists =
   if Hashtbl.mem t.tables (key name) then Hashtbl.remove t.tables (key name)
   else if not if_exists then catalog_error "unknown table %s" name
 
-let table_relation (tbl : table) = tbl.data.rel
-let rows (tbl : table) = Relation.rows tbl.data.rel
+let table_relation (tbl : table) = relation tbl.data
+let rows (tbl : table) = Relation.rows (table_relation tbl)
 let set_rows (tbl : table) rows = tbl.data <- indexed (Relation.of_array tbl.schema rows)
 
 (* ---- Indexes ---- *)

@@ -1,7 +1,7 @@
 (** The catalog: tables with rows and secondary indexes, plus view
     definitions.  Names are case-insensitive.  A built index is cached
     beside the row array it indexes ({!indexed}) and built lazily on
-    first use. *)
+    first use; a view's contents may themselves be rendered lazily. *)
 
 open Rfview_relalg
 module Ast := Rfview_sql.Ast
@@ -12,13 +12,25 @@ exception Catalog_error of string
 
 (** A relation together with the indexes built over its rows.  Rows are
     never mutated in place: a mutation installs a fresh [indexed], so a
-    cached index always describes the array beside it.  Safe to share
-    across domains. *)
+    cached index always describes the array beside it.  The relation is
+    either eager or a deferred rendering: a render function over frozen
+    state, run by the first reader ({!relation} or {!index}) and
+    memoized.  Safe to share across domains: concurrent first readers
+    wait for one render, and an eager value is read without a lock. *)
 type indexed
 
-(** A fresh value with an empty index cache. *)
+(** A fresh eager value with an empty index cache. *)
 val indexed : Relation.t -> indexed
 
+(** A fresh deferred value: [render ()] must return a relation of
+    [schema], built from state that no later write changes.  It runs at
+    most once, on the first read, on the reader's domain. *)
+val deferred : Schema.t -> (unit -> Relation.t) -> indexed
+
+(** The schema, known without rendering. *)
+val schema : indexed -> Schema.t
+
+(** The relation; renders a deferred value on first use. *)
 val relation : indexed -> Relation.t
 
 (** The [kind] index on [column], built on first request and cached

@@ -163,13 +163,14 @@ type result =
    arrays are replaced wholesale by every mutation path
    ([Catalog.set_rows], fresh [Array.map]/[Array.append] results) and
    materialized-view contents are replaced by fresh [Catalog.indexed]
-   values ([Matview.render], [recompute]), so a captured pointer can
-   never observe a later write — and the indexes cached beside a
-   captured array are shared by every reader of it.  Readers acquire
-   versions under [mv_mu] from any domain; the single writer publishes
-   under the same mutex.  The retained window keeps the last
-   [mv_retain] versions acquirable; older versions survive exactly as
-   long as an active snapshot pins them ([v_refs]). *)
+   values ([recompute] results, or deferred renderings of a frozen
+   sequence-view state: [install_state_contents]), so a captured
+   pointer can never observe a later write — and the rendering and the
+   indexes cached beside a captured value are shared by every reader of
+   it.  Readers acquire versions under [mv_mu] from any domain; the
+   single writer publishes under the same mutex.  The retained window
+   keeps the last [mv_retain] versions acquirable; older versions
+   survive exactly as long as an active snapshot pins them ([v_refs]). *)
 
 type vtable = {
   vt_name : string;
@@ -181,7 +182,7 @@ type vview = {
   vv_name : string;
   vv_materialized : bool;
   vv_definition : Ast.query;
-  vv_contents : Catalog.indexed option; (* frozen rendering at capture *)
+  vv_contents : Catalog.indexed option; (* frozen, possibly deferred, at capture *)
   vv_stale : bool;
 }
 
@@ -714,6 +715,21 @@ let log_view db (v : Catalog.view) =
       | Some d -> Hashtbl.replace db.derived_views (key v.Catalog.view_name) d
       | None -> Hashtbl.remove db.derived_views (key v.Catalog.view_name))
 
+(* Install a sequence view's contents from its maintained state: a
+   deferred rendering of a frozen copy of the state — O(partitions),
+   sound because no state array is written in place — that the
+   version's first reader renders, so a commit nobody reads renders
+   nothing.  With verification on, the commit forces the value and
+   [check]s the rendering before installing it (memoized: it is still
+   rendered once). *)
+let install_state_contents (v : Catalog.view) state ~check =
+  let frozen = Matview.copy_state state in
+  let ix =
+    Catalog.deferred frozen.Matview.out_schema (fun () -> Matview.render frozen)
+  in
+  if Verify.enabled () then check (Catalog.relation ix);
+  v.Catalog.contents <- Some ix
+
 (* ---- The read path ----
 
    Every read — the writer's own and every snapshot's — runs this one
@@ -748,15 +764,17 @@ let read_view rd name : Catalog.indexed option =
       | None -> engine_error "materialized view %s has no contents" name)
   | _ -> None
 
-let read_relation rd name : Relation.t option =
+let read_indexed rd name : Catalog.indexed option =
   match find_vtable rd name with
-  | Some vt -> Some (Catalog.relation vt.vt_data)
-  | None -> Option.map Catalog.relation (read_view rd name)
+  | Some vt -> Some vt.vt_data
+  | None -> read_view rd name
+
+let read_relation rd name = Option.map Catalog.relation (read_indexed rd name)
 
 let reader_binder rd : P.Binder.catalog =
   {
     P.Binder.resolve_table =
-      (fun name -> Option.map Relation.schema (read_relation rd name));
+      (fun name -> Option.map Catalog.schema (read_indexed rd name));
     resolve_view =
       (fun name ->
         match find_vview rd name with
@@ -918,18 +936,17 @@ and refresh_view_full db (v : Catalog.view) =
                 ~base:(Catalog.table_relation tbl)
                 ~out_schema:(Relation.schema contents)
             in
-            let rendered = Matview.render state in
-            (* translation validation of the derivation rewrite: the
-               incremental core representation must reproduce the view
-               contents the full recomputation just produced *)
-            Verify.check_view_maintenance ~view:v.Catalog.view_name
-              ~context:"the incremental sequence state" ~incremental:rendered
-              ~recomputed:contents;
             (* serve the state's rendering, so a refresh and incremental
                maintenance leave the same physical row order behind — a
                wide delta falls back to this path, and the result must
                not depend on how statements were chunked into batches *)
-            v.Catalog.contents <- Some (Catalog.indexed rendered);
+            install_state_contents v state ~check:(fun rendered ->
+                (* translation validation of the derivation rewrite: the
+                   incremental core representation must reproduce the
+                   view contents the full recomputation just produced *)
+                Verify.check_view_maintenance ~view:v.Catalog.view_name
+                  ~context:"the incremental sequence state" ~incremental:rendered
+                  ~recomputed:contents);
             Hashtbl.replace db.view_states (key v.Catalog.view_name) state;
             true
           with Matview.Not_maintainable _ -> false))
@@ -1058,22 +1075,21 @@ let propagate db ~table (td : Delta.table_delta) =
                     else None
                   in
                   Matview.apply_shared plan state;
-                  let rendered = Matview.render state in
-                  (match solo with
-                   | Some s ->
-                     (* differential validation: the shared scan must
-                        land bit-identically where the per-view scan
-                        lands, and both must agree with recomputation *)
-                     Matview.apply_batch s ~inserts:td.Delta.inserted
-                       ~deletes:td.Delta.deleted ~updates:td.Delta.updated;
-                     P.Hooks.validate_shared_scan ~view:v.Catalog.view_name
-                       ~shared:rendered ~per_view:(Matview.render s);
-                     Verify.check_view_maintenance ~view:v.Catalog.view_name
-                       ~context:"shared-scan batch maintenance"
-                       ~incremental:rendered
-                       ~recomputed:(recompute db v.Catalog.definition)
-                   | None -> ());
-                  v.Catalog.contents <- Some (Catalog.indexed rendered)
+                  install_state_contents v state ~check:(fun rendered ->
+                      Option.iter
+                        (fun s ->
+                          (* differential validation: the shared scan must
+                             land bit-identically where the per-view scan
+                             lands, and both must agree with recomputation *)
+                          Matview.apply_batch s ~inserts:td.Delta.inserted
+                            ~deletes:td.Delta.deleted ~updates:td.Delta.updated;
+                          P.Hooks.validate_shared_scan ~view:v.Catalog.view_name
+                            ~shared:rendered ~per_view:(Matview.render s);
+                          Verify.check_view_maintenance ~view:v.Catalog.view_name
+                            ~context:"shared-scan batch maintenance"
+                            ~incremental:rendered
+                            ~recomputed:(recompute db v.Catalog.definition))
+                        solo)
                 with Matview.Not_maintainable _ -> refresh_view_full db v
               in
               match maintain () with
@@ -1105,15 +1121,13 @@ let propagate db ~table (td : Delta.table_delta) =
             (try
                Matview.apply_batch state ~inserts:td.Delta.inserted
                  ~deletes:td.Delta.deleted ~updates:td.Delta.updated;
-               let rendered = Matview.render state in
-               (* translation validation: incremental maintenance must agree
-                  with recomputing the view definition from scratch *)
-               if Verify.enabled () then
-                 Verify.check_view_maintenance ~view:v.Catalog.view_name
-                   ~context:"incremental sequence maintenance"
-                   ~incremental:rendered
-                   ~recomputed:(recompute db v.Catalog.definition);
-               v.Catalog.contents <- Some (Catalog.indexed rendered)
+               install_state_contents v state ~check:(fun rendered ->
+                   (* translation validation: incremental maintenance must
+                      agree with recomputing the view definition *)
+                   Verify.check_view_maintenance ~view:v.Catalog.view_name
+                     ~context:"incremental sequence maintenance"
+                     ~incremental:rendered
+                     ~recomputed:(recompute db v.Catalog.definition))
              with Matview.Not_maintainable _ -> refresh_view_full db v)
           | None -> refresh_view_full db v
         in

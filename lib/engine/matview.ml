@@ -237,55 +237,70 @@ let init_state (spec : seq_spec) ~(base : Relation.t) ~(out_schema : Schema.t) :
 let copy_state (st : state) : state =
   { st with parts = List.map (fun p -> { p with pkey = p.pkey }) st.parts }
 
-(* ---- Rendering ---- *)
+(* ---- Rendering ----
 
-let window_value (st : state) (p : partition_state) ~k : Value.t =
-  let n = Core.Seqdata.raw_length p.raw in
-  let float_value v = if Float.is_nan v then Value.Null else Value.Float v in
-  match st.spec.agg with
-  | Aggregate.Sum | Aggregate.Min | Aggregate.Max ->
-    float_value (Core.Seqdata.get p.seq k)
-  | Aggregate.Count -> Value.Int (Core.Agg.count_at st.spec.frame ~n ~k)
-  | Aggregate.Avg ->
-    let c = Core.Agg.count_at st.spec.frame ~n ~k in
-    if c = 0 then Value.Null
-    else Value.Float (Core.Seqdata.get p.seq k /. float_of_int c)
+   The engine renders on the read path: a commit installs a deferred
+   rendering of a frozen copy of the state, and the first reader of that
+   version runs [render].  So rendering has no fault site — a reader
+   domain must not fire writer hooks — and counts its calls, which lets
+   tests prove that an unread commit renders nothing. *)
 
-let coerce_to ty (v : Value.t) : Value.t =
-  match ty, v with
-  | Dtype.Int, Value.Float f when Float.is_integer f -> Value.Int (int_of_float f)
-  | _ -> v
+let renders = Atomic.make 0
+let render_count () = Atomic.get renders
 
 let render (st : state) : Relation.t =
-  let item_cols =
-    List.map
-      (fun (src, _) ->
-        match src with
-        | Some c -> Some (Schema.find st.base_schema c)
-        | None -> None)
-      st.spec.items
+  Atomic.incr renders;
+  (* per output item: the base column it copies, or -1 for the window
+     column *)
+  let src =
+    Array.of_list
+      (List.map
+         (function Some c, _ -> Schema.find st.base_schema c | None, _ -> -1)
+         st.spec.items)
   in
-  let out_tys =
-    List.mapi (fun i _ -> (Schema.col st.out_schema i).Schema.ty) st.spec.items
+  let width = Array.length src in
+  (* an INT window column takes integral aggregates as [Value.Int] *)
+  let int_out =
+    List.exists Fun.id
+      (List.mapi
+         (fun i (c, _) -> c = None && (Schema.col st.out_schema i).Schema.ty = Dtype.Int)
+         st.spec.items)
   in
-  let buf = ref [] in
+  let frame = st.spec.frame in
+  let out =
+    Array.make (List.fold_left (fun n p -> n + Array.length p.base_rows) 0 st.parts) [||]
+  in
+  let at = ref 0 in
   List.iter
     (fun p ->
+      let n = Core.Seqdata.raw_length p.raw in
+      let float_value v =
+        if int_out && Float.is_integer v then Value.Int (int_of_float v)
+        else Value.Float v
+      in
+      let window k =
+        match st.spec.agg with
+        | Aggregate.Sum | Aggregate.Min | Aggregate.Max ->
+          let v = Core.Seqdata.get p.seq k in
+          if Float.is_nan v then Value.Null else float_value v
+        | Aggregate.Count -> Value.Int (Core.Agg.count_at frame ~n ~k)
+        | Aggregate.Avg ->
+          let c = Core.Agg.count_at frame ~n ~k in
+          if c = 0 then Value.Null
+          else float_value (Core.Seqdata.get p.seq k /. float_of_int c)
+      in
       Array.iteri
         (fun i row ->
-          let k = i + 1 in
-          let values =
-            List.map2
-              (fun src ty ->
-                match src with
-                | Some c -> Row.get row c
-                | None -> coerce_to ty (window_value st p ~k))
-              item_cols out_tys
-          in
-          buf := Array.of_list values :: !buf)
+          let r = Array.make width Value.Null in
+          for j = 0 to width - 1 do
+            let c = src.(j) in
+            r.(j) <- (if c >= 0 then Row.get row c else window (i + 1))
+          done;
+          out.(!at) <- r;
+          incr at)
         p.base_rows)
     st.parts;
-  Relation.of_array st.out_schema (Array.of_list (List.rev !buf))
+  Relation.of_array st.out_schema out
 
 (* ---- Incremental maintenance (§2.3 over a consolidated delta) ----
 

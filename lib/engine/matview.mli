@@ -68,8 +68,12 @@ val init_state : seq_spec -> base:Relation.t -> out_schema:Schema.t -> state
     the arrays are shared. *)
 val copy_state : state -> state
 
-(** Render the view contents from the state. *)
+(** Render the view contents from the state.  The engine calls it on the
+    read path, over a frozen {!copy_state}; it has no fault site. *)
 val render : state -> Relation.t
+
+(** Number of {!render} calls so far, process-wide (domain-safe). *)
+val render_count : unit -> int
 
 (** Incremental maintenance (§2.3 over a consolidated delta): apply one
     table's net change — a batch, or a single statement as a batch of

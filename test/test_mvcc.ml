@@ -12,6 +12,7 @@
 open Rfview_relalg
 module Db = Rfview_engine.Database
 module Fault = Rfview_engine.Fault
+module Matview = Rfview_engine.Matview
 module Session = Rfview.Session
 module Snapshot = Rfview.Snapshot
 
@@ -419,6 +420,210 @@ let test_rollback_keeps_index_correct () =
       ignore (Db.exec db "UPDATE seq SET pos = pos + 100 WHERE pos <= 2");
       ignore (check_slices db ~context:"after the retried update"))
 
+(* ---- Deferred rendering ----
+
+   A commit installs a sequence view's contents as a deferred rendering
+   of a frozen copy of its maintained state; the first read of that
+   version renders it, once, for the writer and every snapshot.  This
+   suite runs without verification, so no commit renders. *)
+
+let view_defs =
+  [
+    ("v", "SELECT pos, val, SUM(val) OVER (ORDER BY pos ROWS UNBOUNDED PRECEDING) AS s FROM seq");
+    ( "w",
+      "SELECT pos, MIN(val) OVER (ORDER BY pos ROWS BETWEEN 2 PRECEDING AND 1 \
+       FOLLOWING) AS m FROM seq" );
+  ]
+
+let two_view_setup db =
+  List.iter
+    (fun sql -> ignore (Db.exec db sql))
+    ([ "CREATE TABLE seq (pos INT, val FLOAT)";
+       "INSERT INTO seq VALUES (1, 1), (2, 2), (3, 3), (4, 4)" ]
+    @ List.map
+        (fun (name, def) -> Printf.sprintf "CREATE MATERIALIZED VIEW %s AS %s" name def)
+        view_defs)
+
+let view_reads = List.map (fun (name, _) -> "SELECT * FROM " ^ name) view_defs
+
+(* Every view read through [sn] against its definition recomputed on
+   the same snapshot. *)
+let check_against_recomputation ~context sn =
+  List.iter2
+    (fun read (name, def) ->
+      if not (Relation.equal_bag (Db.Snapshot.query sn read) (Db.Snapshot.query sn def))
+      then
+        QCheck.Test.fail_reportf "%s: view %s at lsn %d differs from its recomputation"
+          context name (Db.Snapshot.lsn sn))
+    view_reads view_defs
+
+(* Single-row commits, a batch and a REFRESH, none of them read: with
+   [share_scans] the two views are one scan-share class (the shared
+   path), without it each takes the per-view path. *)
+let test_render_once ~share_scans () =
+  let db = Db.create ~config:{ Db.default_config with share_scans } () in
+  two_view_setup db;
+  Alcotest.(check int) "the maintenance path under test"
+    (if share_scans then 1 else 0)
+    (List.length (Db.share_classes db ~table:"seq"));
+  let before = Matview.render_count () in
+  for i = 1 to 12 do
+    ignore
+      (Db.exec db
+         (match i mod 3 with
+          | 0 -> Printf.sprintf "INSERT INTO seq VALUES (%d, %d)" (10 + i) i
+          | 1 -> Printf.sprintf "UPDATE seq SET val = %d WHERE pos = 2" (i * 7)
+          | _ -> Printf.sprintf "DELETE FROM seq WHERE pos = %d" (if i < 3 then 4 else 8 + i)))
+  done;
+  Db.with_batch db (fun () ->
+      ignore (Db.exec db "INSERT INTO seq VALUES (30, 3)");
+      ignore (Db.exec db "UPDATE seq SET val = 5 WHERE pos = 2"));
+  ignore (Db.exec db "REFRESH MATERIALIZED VIEW w");
+  Alcotest.(check int) "unread commits render nothing" before (Matview.render_count ());
+  let sn = Db.snapshot db in
+  let go = Atomic.make false in
+  let readers =
+    List.init test_domains (fun _ ->
+        Domain.spawn (fun () ->
+            while not (Atomic.get go) do Domain.cpu_relax () done;
+            List.map (Db.Snapshot.query sn) view_reads))
+  in
+  Atomic.set go true;
+  let answers = List.map Domain.join readers in
+  Alcotest.(check int)
+    (Printf.sprintf "%d reader domain(s) rendered each view once" test_domains)
+    (before + List.length view_defs) (Matview.render_count ());
+  let first = List.hd answers in
+  Alcotest.(check bool) "every domain got the same answers" true
+    (List.for_all (List.for_all2 Relation.equal_ordered first) answers);
+  check_against_recomputation ~context:"render once" sn;
+  Db.Snapshot.close sn;
+  Alcotest.(check bool) "the writer reads the same rendering" true
+    (List.for_all2 Relation.equal_ordered first (List.map (Db.query db) view_reads));
+  Alcotest.(check int) "and does not render it again"
+    (before + List.length view_defs) (Matview.render_count ())
+
+(* Reads at random points only, so most deferred values stay unforced
+   across later commits.  The order key is kept unique so a
+   recomputation's tie order cannot differ from the maintained one. *)
+
+type probe = Pin | Read | Faulted | Checkpoint
+
+let rec unique_keys present = function
+  | Insert (p, x) when List.mem p present -> (Set_val (p, x), present)
+  | Insert (p, _) as st -> (st, p :: present)
+  | Delete p as st -> (st, List.filter (( <> ) p) present)
+  | Move (p, q) when p <> q && List.mem q present -> (Set_val (p, q), present)
+  | Move (p, q) as st when List.mem p present ->
+    (st, q :: List.filter (( <> ) p) present)
+  | (Move _ | Set_val _ | Refresh) as st -> (st, present)
+  | Batch steps ->
+    let steps, present =
+      List.fold_left
+        (fun (acc, present) st ->
+          let st, present = unique_keys present st in
+          (st :: acc, present))
+        ([], present) steps
+    in
+    (Batch (List.rev steps), present)
+
+let arb_unread =
+  let probe =
+    QCheck.Gen.frequency
+      [ (5, QCheck.Gen.return None); (2, QCheck.Gen.return (Some Pin));
+        (1, QCheck.Gen.return (Some Read)); (2, QCheck.Gen.return (Some Faulted));
+        (1, QCheck.Gen.return (Some Checkpoint)) ]
+  in
+  QCheck.make
+    QCheck.Gen.(list_size (int_range 1 12) (pair gen_step probe))
+    ~print:(fun l ->
+      String.concat "; "
+        (List.map
+           (fun (st, pr) ->
+             String.concat "; " (sql_of st)
+             ^
+             match pr with
+             | None -> ""
+             | Some Pin -> " [pin]"
+             | Some Read -> " [read]"
+             | Some Faulted -> " [under a wal.append fault first]"
+             | Some Checkpoint -> " [checkpoint]")
+           l))
+
+let unread_dir = "tdb_mvcc_unread"
+
+let prop_unread_commits steps =
+  with_clean_faults (fun () ->
+      if Sys.file_exists unread_dir then
+        Array.iter (fun f -> Sys.remove (Filename.concat unread_dir f)) (Sys.readdir unread_dir);
+      let db = Db.open_durable unread_dir in
+      two_view_setup db;
+      let commit step =
+        match sql_of step with
+        | [ sql ] -> ignore (Db.exec db sql)
+        | stmts -> Db.with_batch db (fun () -> List.iter (fun s -> ignore (Db.exec db s)) stmts)
+      in
+      let pinned = ref [] in
+      let pin () = pinned := Db.snapshot db :: !pinned in
+      pin ();
+      ignore
+        (List.fold_left
+           (fun present (step, probe) ->
+             let step, present = unique_keys present step in
+             (match probe with
+              | Some Faulted ->
+                (* the WAL append comes after maintenance: the rollback
+                   must restore each view's previous deferred contents *)
+                let before = Db.snapshot db in
+                Fault.arm "wal.append" Fault.Always;
+                let rolled_back =
+                  match commit step with
+                  | () -> false
+                  | exception Fault.Injected _ -> true
+                in
+                Fault.disarm "wal.append";
+                if rolled_back then begin
+                  let renders = Matview.render_count () in
+                  let expected = List.map (Db.Snapshot.query before) view_reads in
+                  let got = List.map (Db.query db) view_reads in
+                  if not (List.for_all2 Relation.equal_ordered expected got) then
+                    QCheck.Test.fail_reportf "rollback did not restore the views";
+                  if Matview.render_count () - renders > List.length view_defs then
+                    QCheck.Test.fail_reportf
+                      "the writer re-rendered contents the pre-fault snapshot rendered";
+                  check_against_recomputation ~context:"after a rollback" before;
+                  commit step
+                end;
+                Db.Snapshot.close before
+              | _ -> commit step);
+             (match probe with
+              | Some Pin -> pin ()
+              | Some Read ->
+                let sn = Db.snapshot db in
+                check_against_recomputation ~context:"a tip read" sn;
+                Db.Snapshot.close sn
+              | Some Checkpoint -> Db.checkpoint db
+              | Some Faulted | None -> ());
+             present)
+           [ 1; 2; 3; 4 ] steps);
+      (* a pin whose contents no one has read, then a commit that
+         changes every view *)
+      ignore (Db.exec db "INSERT INTO seq VALUES (100, 1)");
+      pin ();
+      ignore (Db.exec db "INSERT INTO seq VALUES (101, 2)");
+      List.iter
+        (fun sn ->
+          check_against_recomputation ~context:"a pinned snapshot" sn;
+          Db.Snapshot.close sn)
+        !pinned;
+      let fp = Db.fingerprint db in
+      Db.close db;
+      let recovered, _ = Db.recover unread_dir in
+      let fp' = Db.fingerprint recovered in
+      Db.close recovered;
+      if fp <> fp' then QCheck.Test.fail_reportf "recovery did not round-trip";
+      true)
+
 (* ---- Concurrent chaos: every read is a true historical state ---- *)
 
 (* One writer domain commits random mutations; [test_domains] reader
@@ -550,6 +755,15 @@ let () =
             prop_shared_index_cache;
           Alcotest.test_case "rollback keeps index lookups correct" `Quick
             test_rollback_keeps_index_correct;
+        ] );
+      ( "deferred",
+        [
+          Alcotest.test_case "one render per view (shared scans)" `Quick
+            (test_render_once ~share_scans:true);
+          Alcotest.test_case "one render per view (per-view)" `Quick
+            (test_render_once ~share_scans:false);
+          qtest ~count:40 "unread: pins, rollback, checkpoint" arb_unread
+            prop_unread_commits;
         ] );
       ( "concurrency",
         [
