@@ -96,34 +96,31 @@ serve-smoke:
 	  wait $$srv
 	rm -rf _serve_smoke
 
-# Scaled-down run of the delta-maintenance experiment (batched vs
-# per-statement vs full-refresh propagation): asserts the modes agree
-# bit-for-bit, writes BENCH_delta.json, and fails unless the report is
-# well-formed and its acceptance gate passed.  Then the generalized-IVM experiment (derived delta
-# plans vs full refresh on join/GROUP BY views), writing BENCH_IVM.json,
-# the scan-sharing experiment (certified shared base scans vs per-view
-# batched maintenance, bit-identical fingerprints), writing
-# BENCH_share.json, the replica experiment, and the concurrent-serving
-# experiment (snapshot-read fan-out + wrong-read chaos), writing
-# BENCH_serve.json, all under the same checks.
+# Scaled-down runs of the bench experiments, each writing its BENCH file:
+# delta maintenance (batched vs per-statement vs full-refresh
+# propagation, bit-identical modes), generalized IVM (derived delta
+# plans vs full refresh on join/GROUP BY views), scan sharing
+# (certified shared base scans vs per-view batched maintenance), the
+# replica experiment, concurrent serving (snapshot-read fan-out +
+# wrong-read chaos) and point commits on the row store (single-row DML
+# vs table size, n <= 100k).  Every report must be well formed, and the
+# target fails on any "pass": false: a gate's pass means the bound it
+# prints was met.
+# Each entry is experiment:report:a key the report must carry.
+BENCH_SMOKE = delta:BENCH_delta.json:speedup delta-ivm:BENCH_IVM.json:speedup \
+  share:BENCH_share.json:speedup replica:BENCH_replica.json:speedup \
+  serve:BENCH_serve.json:speedup commit:BENCH_commit.json:update_p50_ms
+
 bench-smoke:
-	dune exec bench/main.exe -- delta --smoke
-	@grep -q '"acceptance"' BENCH_delta.json && grep -q '"speedup"' BENCH_delta.json \
-	  && echo "BENCH_delta.json well-formed"
-	@if grep -q '"pass": false' BENCH_delta.json; then \
-	  echo "BENCH_delta.json: acceptance failed"; exit 1; fi
-	dune exec bench/main.exe -- delta-ivm --smoke
-	@grep -q '"acceptance"' BENCH_IVM.json && grep -q '"speedup"' BENCH_IVM.json \
-	  && echo "BENCH_IVM.json well-formed"
-	dune exec bench/main.exe -- share --smoke
-	@grep -q '"acceptance"' BENCH_share.json && grep -q '"speedup"' BENCH_share.json \
-	  && echo "BENCH_share.json well-formed"
-	dune exec bench/main.exe -- replica --smoke
-	@grep -q '"acceptance"' BENCH_replica.json && grep -q '"speedup"' BENCH_replica.json \
-	  && echo "BENCH_replica.json well-formed"
-	dune exec bench/main.exe -- serve --smoke
-	@grep -q '"acceptance"' BENCH_serve.json && grep -q '"speedup"' BENCH_serve.json \
-	  && echo "BENCH_serve.json well-formed"
+	@for e in $(BENCH_SMOKE); do \
+	  exp=$${e%%:*}; rest=$${e#*:}; out=$${rest%%:*}; key=$${rest#*:}; \
+	  dune exec bench/main.exe -- $$exp --smoke || exit 1; \
+	  grep -q '"acceptance"' $$out && grep -q "\"$$key\"" $$out \
+	    && grep -q '"pass"' $$out || { echo "$$out: malformed"; exit 1; }; \
+	  if grep -q '"pass": false' $$out; then \
+	    echo "$$out: acceptance failed"; exit 1; fi; \
+	  echo "$$out well-formed, acceptance passed"; \
+	done
 
 # The benchmark's correctness gate: a 3-second run of each perfbench
 # workload (point-commit, report-read, ingest-mixed) must report

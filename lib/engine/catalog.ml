@@ -1,7 +1,10 @@
 (* The catalog: tables with their rows and secondary indexes, plus view
-   definitions.  Names are case-insensitive.  A built index lives in the
-   [indexed] value beside the row array it was built from, so replacing
-   the rows replaces the indexes with them. *)
+   definitions.  Names are case-insensitive.  A table's rows and its
+   indexes live together in one persistent [Store.t], so every DML
+   statement maintains the indexes it touches and a captured store value
+   is a complete, unchanging version of the table.  A view's built
+   indexes live in the [indexed] value beside the contents they were
+   built from. *)
 
 open Rfview_relalg
 module Ast = Rfview_sql.Ast
@@ -12,23 +15,41 @@ let catalog_error fmt = Format.kasprintf (fun s -> raise (Catalog_error s)) fmt
 
 let key s = String.lowercase_ascii s
 
-(* ---- Row arrays and the indexes built over them ----
+(* ---- Relations rendered once ----
 
-   Every mutation replaces a table's rows or a view's contents
-   wholesale, never in place, so an index cached beside an array can
-   never describe a different array: no invalidation exists.  Reader
-   domains share the cache; an index is built outside the lock and the
-   first finished build wins (racing builds are equal).
-
-   A view's contents may be deferred: the value holds a render function
-   over a frozen maintenance state, and the first read runs it.  Readers
-   on several domains wait for that one render under the value's own
-   lock; once rendered the value is eager, and an eager value is read
-   without a lock. *)
+   A relation is either eager or deferred: a render function over state
+   no later write changes, which the first reader runs.  Readers on
+   several domains wait for that one render under the value's own lock;
+   once rendered the value is eager, and an eager value is read without
+   a lock.  A view's contents defer the rendering of a frozen
+   maintenance state; a table version defers the flattening of its
+   store. *)
 
 type source =
   | Eager of Relation.t
   | Deferred of { mu : Mutex.t; render : unit -> Relation.t }
+
+let deferred_source render = Atomic.make (Deferred { mu = Mutex.create (); render })
+
+let force source =
+  match Atomic.get source with
+  | Eager rel -> rel
+  | Deferred { mu; render } ->
+    Mutex.protect mu (fun () ->
+        match Atomic.get source with
+        | Eager rel -> rel
+        | Deferred _ ->
+          let rel = render () in
+          Atomic.set source (Eager rel);
+          rel)
+
+(* ---- View contents and the indexes built over them ----
+
+   Every mutation replaces a view's contents wholesale, never in place,
+   so an index cached beside the contents can never describe different
+   rows: no invalidation exists.  Reader domains share the cache; an
+   index is built outside the lock and the first finished build wins
+   (racing builds are equal). *)
 
 type indexed = {
   schema : Schema.t;
@@ -41,26 +62,10 @@ let built_mu = Mutex.create ()
 let indexed rel =
   { schema = Relation.schema rel; source = Atomic.make (Eager rel); built = [] }
 
-let deferred schema render =
-  {
-    schema;
-    source = Atomic.make (Deferred { mu = Mutex.create (); render });
-    built = [];
-  }
+let deferred schema render = { schema; source = deferred_source render; built = [] }
 
 let schema ix = ix.schema
-
-let relation ix =
-  match Atomic.get ix.source with
-  | Eager rel -> rel
-  | Deferred { mu; render } ->
-    Mutex.protect mu (fun () ->
-        match Atomic.get ix.source with
-        | Eager rel -> rel
-        | Deferred _ ->
-          let rel = render () in
-          Atomic.set ix.source (Eager rel);
-          rel)
+let relation ix = force ix.source
 
 let index ix ~column kind =
   match Schema.find_opt ix.schema column with
@@ -79,6 +84,36 @@ let index ix ~column kind =
                 ix.built <- ((col, kind), b) :: ix.built;
                 b)))
 
+(* ---- Table versions ----
+
+   A table version is a store value plus its flattening into a row
+   array, rendered on the first read and shared by every reader of the
+   version.  The writer never forces it: DML seeks and scans the store,
+   and sizes come from the store's O(1) cardinality. *)
+
+type stored = {
+  st_schema : Schema.t;
+  store : Store.t;
+  flat : source Atomic.t;
+}
+
+let stored ?rows schema store =
+  {
+    st_schema = schema;
+    store;
+    flat =
+      (match rows with
+       | Some rows -> Atomic.make (Eager (Relation.of_array schema rows))
+       | None -> deferred_source (fun () -> Relation.of_array schema (Store.to_array store)));
+  }
+
+let stored_schema st = st.st_schema
+let stored_relation st = force st.flat
+
+let stored_index st ~column kind =
+  Option.bind (Schema.find_opt st.st_schema column) (fun col ->
+      Index.of_store kind st.store ~col)
+
 type index_def = {
   index_name : string;
   column : string;
@@ -88,7 +123,7 @@ type index_def = {
 type table = {
   table_name : string;
   schema : Schema.t;
-  mutable data : indexed;
+  mutable data : stored;
   mutable indexes : index_def list;
 }
 
@@ -122,7 +157,7 @@ let create_table t ~name ~schema =
   if Hashtbl.mem t.tables (key name) || Hashtbl.mem t.views (key name) then
     catalog_error "relation %s already exists" name;
   let tbl =
-    { table_name = name; schema; data = indexed (Relation.of_array schema [||]); indexes = [] }
+    { table_name = name; schema; data = stored schema Store.empty; indexes = [] }
   in
   Hashtbl.replace t.tables (key name) tbl;
   tbl
@@ -131,20 +166,25 @@ let drop_table t ~name ~if_exists =
   if Hashtbl.mem t.tables (key name) then Hashtbl.remove t.tables (key name)
   else if not if_exists then catalog_error "unknown table %s" name
 
-let table_relation (tbl : table) = relation tbl.data
+let store (tbl : table) = tbl.data.store
+let set_store ?rows (tbl : table) store = tbl.data <- stored ?rows tbl.schema store
+let cardinality (tbl : table) = Store.cardinality tbl.data.store
+let table_relation (tbl : table) = stored_relation tbl.data
 let rows (tbl : table) = Relation.rows (table_relation tbl)
-let set_rows (tbl : table) rows = tbl.data <- indexed (Relation.of_array tbl.schema rows)
 
 (* ---- Indexes ---- *)
 
 let create_index t ~name ~table:tname ~column ~kind =
   let tbl = table t tname in
-  (match Schema.find_opt tbl.schema column with
-   | Some _ -> ()
-   | None -> catalog_error "table %s has no column %s" tname column);
+  let col =
+    match Schema.find_opt tbl.schema column with
+    | Some col -> col
+    | None -> catalog_error "table %s has no column %s" tname column
+  in
   if List.exists (fun i -> key i.index_name = key name) tbl.indexes then
     catalog_error "index %s already exists" name;
-  tbl.indexes <- { index_name = name; column; kind } :: tbl.indexes
+  tbl.indexes <- { index_name = name; column; kind } :: tbl.indexes;
+  set_store tbl (Store.add_index (store tbl) ~col)
 
 (* ---- Views ---- *)
 

@@ -1,14 +1,15 @@
 (** The catalog: tables with rows and secondary indexes, plus view
-    definitions.  Names are case-insensitive.  A built index is cached
-    beside the row array it indexes ({!indexed}) and built lazily on
-    first use; a view's contents may themselves be rendered lazily. *)
+    definitions.  Names are case-insensitive.  A table's rows and its
+    indexes are one persistent {!Store.t}, maintained by every DML
+    statement; a view's contents may be rendered lazily, and its indexes
+    are built on first use and cached beside the contents ({!indexed}). *)
 
 open Rfview_relalg
 module Ast := Rfview_sql.Ast
 
 exception Catalog_error of string
 
-(** {1 Row arrays with their indexes} *)
+(** {1 View contents with their indexes} *)
 
 (** A relation together with the indexes built over its rows.  Rows are
     never mutated in place: a mutation installs a fresh [indexed], so a
@@ -37,6 +38,25 @@ val relation : indexed -> Relation.t
     beside the rows; [None] when the relation has no such column. *)
 val index : indexed -> column:string -> Index.kind -> Index.t option
 
+(** {1 Table versions} *)
+
+(** One version of a table: a store value (rows and maintained indexes)
+    and its flattening into a relation, rendered once on the first read
+    and shared by every reader, on any domain. *)
+type stored
+
+(** [rows], when given, must be the store's rows in table order: it
+    stands in for the flattening. *)
+val stored : ?rows:Row.t array -> Schema.t -> Store.t -> stored
+val stored_schema : stored -> Schema.t
+
+(** The rows in table order; flattens the store on first use. *)
+val stored_relation : stored -> Relation.t
+
+(** The store's maintained index on [column], seen as a [kind] index;
+    [None] when the store does not index that column. *)
+val stored_index : stored -> column:string -> Index.kind -> Index.t option
+
 type index_def = {
   index_name : string;
   column : string;
@@ -46,7 +66,7 @@ type index_def = {
 type table = {
   table_name : string;
   schema : Schema.t;
-  mutable data : indexed;  (** the rows and their built indexes *)
+  mutable data : stored;  (** the rows and their maintained indexes *)
   mutable indexes : index_def list;
 }
 
@@ -76,17 +96,25 @@ val create_table : t -> name:string -> schema:Schema.t -> table
 
 val drop_table : t -> name:string -> if_exists:bool -> unit
 
-(** The current contents. *)
+(** The current store. *)
+val store : table -> Store.t
+
+(** Install a new store value (rows and indexes together); [rows] as
+    for {!stored}. *)
+val set_store : ?rows:Row.t array -> table -> Store.t -> unit
+
+(** The row count, O(1): never flattens. *)
+val cardinality : table -> int
+
+(** The current contents, flattened on first use per version. *)
 val table_relation : table -> Relation.t
 
 val rows : table -> Row.t array
 
-(** Replace the rows (and with them every built index). *)
-val set_rows : table -> Row.t array -> unit
-
 (** {1 Indexes} *)
 
-(** @raise Catalog_error on unknown table/column or duplicate name. *)
+(** Declare the index and build it in bulk in the table's store.
+    @raise Catalog_error on unknown table/column or duplicate name. *)
 val create_index :
   t -> name:string -> table:string -> column:string -> kind:Index.kind -> unit
 

@@ -159,22 +159,23 @@ type result =
 
    Every commit point (top-level statement success, batch commit,
    recovery) publishes an immutable, LSN-stamped version of the logical
-   state.  Publication is pointer capture, never a deep copy: table row
-   arrays are replaced wholesale by every mutation path
-   ([Catalog.set_rows], fresh [Array.map]/[Array.append] results) and
-   materialized-view contents are replaced by fresh [Catalog.indexed]
-   values ([recompute] results, or deferred renderings of a frozen
-   sequence-view state: [install_state_contents]), so a captured
-   pointer can never observe a later write — and the rendering and the
-   indexes cached beside a captured value are shared by every reader of
-   it.  Readers acquire versions under [mv_mu] from any domain; the
-   single writer publishes under the same mutex.  The retained window
+   state.  Publication is pointer capture, never a deep copy: a table
+   is a persistent [Store.t] (rows and maintained indexes) that every
+   mutation path replaces by a path-copied new value
+   ([Catalog.set_store]), and materialized-view contents are replaced by
+   fresh [Catalog.indexed] values ([recompute] results, or deferred
+   renderings of a frozen sequence-view state:
+   [install_state_contents]), so a captured pointer can never observe a
+   later write — and a table version's flattening, a view's rendering
+   and the indexes cached beside it are shared by every reader of it.
+   Readers acquire versions under [mv_mu] from any domain; the single
+   writer publishes under the same mutex.  The retained window
    keeps the last [mv_retain] versions acquirable; older versions
    survive exactly as long as an active snapshot pins them ([v_refs]). *)
 
 type vtable = {
   vt_name : string;
-  vt_data : Catalog.indexed; (* frozen: the rows pointer at capture *)
+  vt_data : Catalog.stored; (* frozen: the store value at capture *)
   vt_indexes : (string * Index.kind) list; (* column, kind *)
 }
 
@@ -682,8 +683,8 @@ let with_undo db f =
        db.mvcc.mv_dirty <- false;
        raise e)
 
-(* Snapshot a table: its rows with their built indexes, and its index
-   list. *)
+(* Snapshot a table: its store (rows and maintained indexes), and its
+   index list. *)
 let log_table db (tbl : Catalog.table) =
   mark_dirty db;
   let data = tbl.Catalog.data in
@@ -734,8 +735,9 @@ let install_state_contents (v : Catalog.view) state ~check =
 
    Every read — the writer's own and every snapshot's — runs this one
    implementation over a frozen [version]: relations resolve against
-   the version's captured pointers, and indexes come from the cache
-   beside each captured array.  The writer captures its working state
+   the version's captured pointers; a table's index is the one its
+   captured store maintains, a view's comes from the cache beside its
+   captured contents.  The writer captures its working state
    with [capture_version] (without publishing it).  Callers differ only
    in how a quarantined view heals ([rd_heal]): a snapshot heals
    locally, the writer refreshes the live view.  The writer's reads
@@ -764,17 +766,18 @@ let read_view rd name : Catalog.indexed option =
       | None -> engine_error "materialized view %s has no contents" name)
   | _ -> None
 
-let read_indexed rd name : Catalog.indexed option =
+let read_relation rd name =
   match find_vtable rd name with
-  | Some vt -> Some vt.vt_data
-  | None -> read_view rd name
-
-let read_relation rd name = Option.map Catalog.relation (read_indexed rd name)
+  | Some vt -> Some (Catalog.stored_relation vt.vt_data)
+  | None -> Option.map Catalog.relation (read_view rd name)
 
 let reader_binder rd : P.Binder.catalog =
   {
     P.Binder.resolve_table =
-      (fun name -> Option.map Catalog.schema (read_indexed rd name));
+      (fun name ->
+        match find_vtable rd name with
+        | Some vt -> Some (Catalog.stored_schema vt.vt_data)
+        | None -> Option.map Catalog.schema (read_view rd name));
     resolve_view =
       (fun name ->
         match find_vview rd name with
@@ -782,14 +785,14 @@ let reader_binder rd : P.Binder.catalog =
         | _ -> None);
   }
 
-(* The index declared on [relname].[column] — a table's secondary index
-   or a view index — built over the frozen array it indexes. *)
+(* The index declared on [relname].[column]: a table's, maintained in
+   its frozen store, or a view's, built over its frozen contents. *)
 let read_index rd ~relname ~column : Index.t option =
   match find_vtable rd relname with
   | Some vt ->
     Option.bind
       (List.find_opt (fun (col, _) -> key col = key column) vt.vt_indexes)
-      (fun (_, kind) -> Catalog.index vt.vt_data ~column kind)
+      (fun (_, kind) -> Catalog.stored_index vt.vt_data ~column kind)
   | None ->
     Option.bind
       (List.find_opt
@@ -1040,9 +1043,7 @@ let shared_classes_for db ~table =
 let propagate db ~table (td : Delta.table_delta) =
   (* a delta at least as wide as the (post-change) base table gains
      nothing over recomputation: route it to the full-refresh path *)
-  let wide =
-    Delta.weight td >= Array.length (Catalog.rows (Catalog.table db.catalog table))
-  in
+  let wide = Delta.weight td >= Catalog.cardinality (Catalog.table db.catalog table) in
   (* certificate-gated shared base scans: the delta drives all views of
      a certified scan-share class from ONE shared structural merge;
      everything else takes the per-view path below *)
@@ -1193,7 +1194,7 @@ let maintain_derived db (d : Delta.t) =
                   List.fold_left
                     (fun acc t ->
                       match Catalog.find_table db.catalog t with
-                      | Some tbl -> acc + Array.length (Catalog.rows tbl)
+                      | Some tbl -> acc + Catalog.cardinality tbl
                       | None -> acc)
                     0 sources
                 in
@@ -1367,7 +1368,7 @@ let coerce_value ty (v : Value.t) : Value.t =
 let insert_rows db ~table (new_rows : Row.t list) =
   let tbl = Catalog.table db.catalog table in
   log_table db tbl;
-  Catalog.set_rows tbl (Array.append (Catalog.rows tbl) (Array.of_list new_rows));
+  Catalog.set_store tbl (Store.append (Catalog.store tbl) (Array.of_list new_rows));
   Fault.hit site_apply_insert;
   wal_log db (Wal.Insert { table; rows = Array.of_list new_rows });
   record_change db (Delta.insert ~table new_rows)
@@ -1403,32 +1404,89 @@ let exec_insert db ~table ~columns ~rows =
   Done (Printf.sprintf "INSERT %d" (List.length new_rows))
 
 (* Shared apply steps for update/delete deltas (statement path and WAL
-   replay).  [rows]/[kept] is the table's full new contents; [pairs]/
-   [deleted] the delta that maintains dependent views and the log. *)
-let update_rows db ~table ~rows ~pairs =
+   replay).  [changes]/[victims] are the store entries, by stamp, in
+   table order; [pairs]/[deleted] the delta that maintains dependent
+   views and the log. *)
+let update_rows db ~table ~changes ~pairs =
   let tbl = Catalog.table db.catalog table in
   log_table db tbl;
-  Catalog.set_rows tbl rows;
+  Catalog.set_store tbl (Store.replace (Catalog.store tbl) changes);
   Fault.hit site_apply_update;
   wal_log db (Wal.Update { table; pairs = Array.of_list pairs });
   record_change db (Delta.update ~table pairs)
 
-let delete_rows db ~table ~kept ~deleted =
+let delete_rows db ~table ~victims ~deleted =
   let tbl = Catalog.table db.catalog table in
   log_table db tbl;
-  Catalog.set_rows tbl kept;
+  Catalog.set_store tbl (Store.delete (Catalog.store tbl) victims);
   Fault.hit site_apply_delete;
   wal_log db (Wal.Delete { table; rows = Array.of_list deleted });
   record_change db (Delta.delete ~table deleted)
 
+(* ---- Access paths for UPDATE and DELETE ----
+
+   A WHERE conjunct that bounds an indexed column by constants (the
+   planner's index-join probes: [=], [IN], [BETWEEN], [<=]/[>=]) seeks
+   the table's maintained index; any other predicate scans the store.
+   Either way the full predicate decides, on the candidates only, and
+   candidates are taken in table order, so the rows a statement touches,
+   its delta and its WAL record do not depend on the path. *)
+
+type access =
+  | Seek of { col : int; probe : P.Physical.probe }
+  | Scan
+
+let access_path (tbl : Catalog.table) pred =
+  let store = Catalog.store tbl in
+  let rank = function P.Physical.P_eq _ -> 0 | P.Physical.P_in _ -> 1 | P.Physical.P_range _ -> 2 in
+  match
+    P.Physical.sargable pred
+    |> List.filter (fun (col, _) -> Store.has_index store ~col)
+    |> List.sort (fun (c, p) (c', p') -> compare (rank p, c) (rank p', c'))
+  with
+  | [] -> Scan
+  | (col, probe) :: _ -> Seek { col; probe }
+
+(* The (stamp, row) entries satisfying [pred], in table order. *)
+let matching (tbl : Catalog.table) pred =
+  let store = Catalog.store tbl in
+  let scan () =
+    let found = ref [] in
+    Store.iter (fun s r -> if Expr.holds r pred then found := (s, r) :: !found) store;
+    List.rev !found
+  in
+  let seek col probe =
+    let eval e = Expr.eval [||] e in
+    let entries =
+      match probe with
+      | P.Physical.P_eq e -> Store.seek_eq store ~col (eval e)
+      | P.Physical.P_in items ->
+        List.sort_uniq Value.compare (List.map eval items)
+        |> List.concat_map (Store.seek_eq store ~col)
+        |> List.sort (fun (s, _) (s', _) -> Int.compare s s')
+      | P.Physical.P_range (lo, hi) ->
+        Store.seek_range store ~col ~lo:(Option.map eval lo) ~hi:(Option.map eval hi)
+        |> List.sort (fun (s, _) (s', _) -> Int.compare s s')
+    in
+    List.filter (fun (_, r) -> Expr.holds r pred) entries
+  in
+  match access_path tbl pred with
+  | Scan -> scan ()
+  | Seek { col; probe } ->
+    (* a probe bound that fails to evaluate is left to the scan, which
+       evaluates the predicate row by row exactly as it always did *)
+    (match seek col probe with
+     | found -> found
+     | exception Value.Type_error _ -> scan ())
+
+let where_pred schema = function
+  | None -> Expr.Const (Value.Bool true)
+  | Some w -> P.Binder.bind_scalar schema w
+
 let exec_update db ~table ~assignments ~where =
   let tbl = Catalog.table db.catalog table in
   let schema = tbl.Catalog.schema in
-  let pred =
-    match where with
-    | None -> Expr.Const (Value.Bool true)
-    | Some w -> P.Binder.bind_scalar schema w
-  in
+  let pred = where_pred schema where in
   let assigns =
     List.map
       (fun (c, e) ->
@@ -1437,43 +1495,36 @@ let exec_update db ~table ~assignments ~where =
         | None -> engine_error "table %s has no column %s" table c)
       assignments
   in
-  let pairs = ref [] in
-  let rows =
-    Array.map
-      (fun row ->
-        if Expr.holds row pred then begin
-          let fresh = Array.copy row in
-          List.iter
-            (fun (i, e) ->
-              fresh.(i) <- coerce_value (Schema.col schema i).Schema.ty (Expr.eval row e))
-            assigns;
-          pairs := (row, fresh) :: !pairs;
-          fresh
-        end
-        else row)
-      (Catalog.rows tbl)
+  let changes =
+    List.map
+      (fun (s, row) ->
+        let fresh = Array.copy row in
+        List.iter
+          (fun (i, e) ->
+            fresh.(i) <- coerce_value (Schema.col schema i).Schema.ty (Expr.eval row e))
+          assigns;
+        (s, row, fresh))
+      (matching tbl pred)
   in
-  update_rows db ~table ~rows ~pairs:(List.rev !pairs);
-  Done (Printf.sprintf "UPDATE %d" (List.length !pairs))
+  update_rows db ~table ~changes:(Array.of_list changes)
+    ~pairs:(List.map (fun (_, row, fresh) -> (row, fresh)) changes);
+  Done (Printf.sprintf "UPDATE %d" (List.length changes))
 
 let exec_delete db ~table ~where =
   let tbl = Catalog.table db.catalog table in
-  let schema = tbl.Catalog.schema in
-  let pred =
-    match where with
-    | None -> Expr.Const (Value.Bool true)
-    | Some w -> P.Binder.bind_scalar schema w
-  in
-  let deleted = ref [] in
-  let kept = ref [] in
-  Array.iter
-    (fun row ->
-      if Expr.holds row pred then deleted := row :: !deleted else kept := row :: !kept)
-    (Catalog.rows tbl);
-  delete_rows db ~table
-    ~kept:(Array.of_list (List.rev !kept))
-    ~deleted:(List.rev !deleted);
-  Done (Printf.sprintf "DELETE %d" (List.length !deleted))
+  let victims = matching tbl (where_pred tbl.Catalog.schema where) in
+  delete_rows db ~table ~victims:(Array.of_list victims) ~deleted:(List.map snd victims);
+  Done (Printf.sprintf "DELETE %d" (List.length victims))
+
+(* EXPLAIN of an UPDATE or DELETE: the access path it would take. *)
+let explain_dml db ~table ~where =
+  let tbl = Catalog.table db.catalog table in
+  match access_path tbl (where_pred tbl.Catalog.schema where) with
+  | Scan -> Printf.sprintf "scan %s" tbl.Catalog.table_name
+  | Seek { col; probe } ->
+    Printf.sprintf "seek %s.%s%s" tbl.Catalog.table_name
+      (Schema.col tbl.Catalog.schema col).Schema.name
+      (P.Physical.probe_name probe)
 
 (* ---- Statements ---- *)
 
@@ -1578,7 +1629,13 @@ let rec exec_statement_in_scope db (stmt : Ast.statement) : result =
             (P.Logical.to_string bound)
             (P.Logical.to_string optimized)
             (P.Physical.to_string physical))
-     | other -> exec_statement_in_scope db other)
+     | Ast.St_update { table; where; _ } | Ast.St_delete { table; where } ->
+       Done (explain_dml db ~table ~where)
+     | other ->
+       (* plain EXPLAIN never runs a statement: only EXPLAIN ANALYZE
+          executes *)
+       engine_error "EXPLAIN describes queries, UPDATE and DELETE, not: %s"
+         (Pretty.statement other))
   | Ast.St_explain_analyze inner ->
     (match inner with
      | Ast.St_query q ->
@@ -1591,13 +1648,13 @@ let rec exec_statement_in_scope db (stmt : Ast.statement) : result =
      | other -> exec_statement_in_scope db other)
   in
   (* DDL/REFRESH reaches the log as SQL text; DML already queued its row
-     deltas on the apply path (an EXPLAIN'd statement logs as itself via
-     the recursive call — the EXPLAIN wrapper matches nothing here). *)
+     deltas on the apply path (an EXPLAIN ANALYZE'd statement logs as
+     itself via the recursive call — the wrapper matches nothing here). *)
   wal_log_stmt db stmt;
   result
 
 (* Every statement is atomic: on any exception the undo log restores
-   tables and view contents (each with its built indexes) and view
+   table stores, view contents (with their built indexes) and view
    states to the pre-statement snapshot before re-raising. *)
 let exec_statement db stmt = with_undo db (fun () -> exec_statement_in_scope db stmt)
 
@@ -1612,7 +1669,7 @@ let load_table db ~table rows =
       with_undo db (fun () ->
           let tbl = Catalog.table db.catalog table in
           log_table db tbl;
-          Catalog.set_rows tbl (Array.append (Catalog.rows tbl) rows);
+          Catalog.set_store tbl (Store.append (Catalog.store tbl) rows);
           wal_log db (Wal.Load { table; rows });
           record_change db (Delta.insert ~table (Array.to_list rows))))
 
@@ -1740,57 +1797,84 @@ let ensure_dir dir =
    DML records replay through the same apply functions the original
    statements used ([insert_rows]/[update_rows]/[delete_rows]), so view
    maintenance, fault sites and quarantine behave identically.  Deltas
-   carry exact rows; pre-images are matched by value (first match), which
-   is multiset-correct: rows equal by value are interchangeable. *)
+   carry exact rows; pre-images are matched by value, each to the first
+   row in table order not already claimed, which is multiset-correct:
+   rows equal by value are interchangeable.  On a table with an index
+   every pre-image seeks its own key, O(k log n); otherwise one pass
+   over the table against a hashed multiset of the pre-images,
+   O(n + k). *)
 
-let row_equal (a : Row.t) (b : Row.t) =
-  Array.length a = Array.length b
-  && (try
-        Array.iter2 (fun x y -> if not (Value.equal x y) then raise Exit) a b;
-        true
-      with Exit -> false)
+module Row_tbl = Hashtbl.Make (Row)
+
+module Value_tbl = Hashtbl.Make (struct
+  type t = Value.t
+
+  let equal = Value.equal
+  let hash = Value.hash
+end)
+
+(* The (stamp, row) entry each pre-image claims, in pre-image order. *)
+let claim (tbl : Catalog.table) ~what (pre : Row.t array) =
+  let store = Catalog.store tbl in
+  let claims = Array.make (Array.length pre) None in
+  (* [idxs] (pre-image positions, in order) against candidate entries in
+     table order: each candidate goes to the first pending pre-image
+     equal to it *)
+  let match_in iter idxs =
+    let pending = Row_tbl.create 16 in
+    List.iter
+      (fun i ->
+        match Row_tbl.find_opt pending pre.(i) with
+        | Some q -> Queue.push i q
+        | None ->
+          let q = Queue.create () in
+          Queue.push i q;
+          Row_tbl.add pending pre.(i) q)
+      idxs;
+    iter (fun s r ->
+        match Row_tbl.find_opt pending r with
+        | Some q when not (Queue.is_empty q) -> claims.(Queue.pop q) <- Some (s, r)
+        | _ -> ())
+  in
+  let all = List.init (Array.length pre) Fun.id in
+  (match
+     List.find_map
+       (fun (i : Catalog.index_def) ->
+         match Schema.find_opt tbl.Catalog.schema i.Catalog.column with
+         | Some col when Array.for_all (fun r -> not (Value.is_null r.(col))) pre -> Some col
+         | _ -> None)
+       tbl.Catalog.indexes
+   with
+   | Some col ->
+     (* one seek per distinct key *)
+     let by_key = Value_tbl.create 16 in
+     List.iter
+       (fun i ->
+         let k = pre.(i).(col) in
+         Value_tbl.replace by_key k (i :: Option.value ~default:[] (Value_tbl.find_opt by_key k)))
+       (List.rev all);
+     Value_tbl.iter
+       (fun k idxs ->
+         let entries = Store.seek_eq store ~col k in
+         match_in (fun f -> List.iter (fun (s, r) -> f s r) entries) idxs)
+       by_key
+   | None -> match_in (fun f -> Store.iter f store) all);
+  Array.map
+    (function
+      | Some entry -> entry
+      | None -> engine_error "replay: %s pre-image missing from %s" what tbl.Catalog.table_name)
+    claims
 
 let replay_delete db ~table rows =
-  let tbl = Catalog.table db.catalog table in
-  let pending = ref (Array.to_list rows) in
-  let kept = ref [] in
-  Array.iter
-    (fun row ->
-      let rec take acc = function
-        | [] -> None
-        | r :: rest when row_equal r row -> Some (List.rev_append acc rest)
-        | r :: rest -> take (r :: acc) rest
-      in
-      match take [] !pending with
-      | Some rest -> pending := rest
-      | None -> kept := row :: !kept)
-    (Catalog.rows tbl);
-  if !pending <> [] then engine_error "replay: DELETE pre-image missing from %s" table;
-  delete_rows db ~table
-    ~kept:(Array.of_list (List.rev !kept))
-    ~deleted:(Array.to_list rows)
+  let victims = claim (Catalog.table db.catalog table) ~what:"DELETE" rows in
+  Array.sort (fun (s, _) (s', _) -> Int.compare s s') victims;
+  delete_rows db ~table ~victims ~deleted:(Array.to_list rows)
 
 let replay_update db ~table pairs =
-  let tbl = Catalog.table db.catalog table in
-  let rows = Array.copy (Catalog.rows tbl) in
-  (* consume a distinct row per pair: equal pre-images evaluate the same
-     assignments, so any matching is multiset-equivalent — but a row
-     already rewritten must not satisfy a later pair's pre-image *)
-  let used = Array.make (Array.length rows) false in
-  Array.iter
-    (fun (old_row, new_row) ->
-      let rec find i =
-        if i >= Array.length rows then
-          engine_error "replay: UPDATE pre-image missing from %s" table
-        else if (not used.(i)) && row_equal rows.(i) old_row then begin
-          rows.(i) <- new_row;
-          used.(i) <- true
-        end
-        else find (i + 1)
-      in
-      find 0)
-    pairs;
-  update_rows db ~table ~rows ~pairs:(Array.to_list pairs)
+  let claims = claim (Catalog.table db.catalog table) ~what:"UPDATE" (Array.map fst pairs) in
+  let changes = Array.mapi (fun i (s, old) -> (s, old, snd pairs.(i))) claims in
+  Array.sort (fun (s, _, _) (s', _, _) -> Int.compare s s') changes;
+  update_rows db ~table ~changes ~pairs:(Array.to_list pairs)
 
 let rec replay_record db (record : Wal.record) =
   match record with
@@ -1850,7 +1934,7 @@ let restore_snapshot_into db ~quarantine (snap : Checkpoint.snapshot) =
         Catalog.create_table db.catalog ~name:t.Checkpoint.t_name
           ~schema:t.Checkpoint.t_schema
       in
-      Catalog.set_rows tbl t.Checkpoint.t_rows)
+      Catalog.set_store tbl ~rows:t.Checkpoint.t_rows (Store.of_array t.Checkpoint.t_rows))
     snap.Checkpoint.tables;
   List.iter
     (fun (v : Checkpoint.view_entry) ->
@@ -2056,7 +2140,7 @@ let version_fingerprint (v : version) : string =
   List.sort (fun a b -> compare a.vt_name b.vt_name) v.v_tables
   |> List.iter (fun vt ->
          Buffer.add_string buf (Printf.sprintf "table %s\n" vt.vt_name);
-         render (Catalog.relation vt.vt_data));
+         render (Catalog.stored_relation vt.vt_data));
   List.sort (fun a b -> compare a.vv_name b.vv_name) v.v_views
   |> List.iter (fun vv ->
          Buffer.add_string buf (Printf.sprintf "view %s stale=%b\n" vv.vv_name vv.vv_stale);

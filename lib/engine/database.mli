@@ -125,7 +125,10 @@ val with_batch : t -> (unit -> 'a) -> 'a
     anything, if it is not one. *)
 val query : t -> string -> Relation.t
 
-(** Logical and physical plan text. *)
+(** Logical and physical plan text for a query; for an UPDATE or DELETE,
+    the access path it would take ([seek t.c eq], [scan t], ...).  Runs
+    nothing: any other statement is an [Engine_error] that changes
+    nothing (EXPLAIN ANALYZE executes). *)
 val explain : t -> string -> string
 
 val exec_statement : t -> Ast.statement -> result
@@ -310,11 +313,14 @@ val catalog_view : t -> P.Physical.catalog_view
 
     Every commit point — a top-level statement, a {!with_batch} commit,
     recovery — publishes an immutable, LSN-stamped version of the
-    logical state.  Publication captures pointers (row arrays and view
-    contents are replaced wholesale by every mutation path, never
-    mutated in place), so the hot path pays O(tables + views), not a
-    deep copy.  A built index is cached beside the array it indexes,
-    so the writer and every snapshot of a version share it.  A bounded window of recent versions stays acquirable;
+    logical state.  Publication captures pointers (a table is a
+    persistent store that every mutation path path-copies, and view
+    contents are replaced wholesale, never mutated in place), so the
+    hot path pays O(tables + views), not a deep copy.  A table's
+    indexes live in its store; a view's built index is cached beside
+    the contents it indexes, so the writer and every snapshot of a
+    version share it.  A bounded window of recent versions stays
+    acquirable;
     an acquired snapshot pins its version beyond the window until
     released, so neither eviction nor {!close} invalidates it.
 

@@ -191,6 +191,12 @@ let merge_probes probes =
         if lo = None && hi = None then acc else (col, P_range (lo, hi)) :: acc)
     by_col []
 
+(* The index probes a single-relation predicate offers: conjuncts that
+   bound a column by closed expressions, merged per column exactly as
+   for an index join (the predicate's relation is the inner side, with
+   an empty outer side). *)
+let sargable pred = merge_probes (classify_conjuncts ~bound:0 (Expr.conjuncts pred)).probes
+
 let choose_join_algo (opts : options) (cat : catalog_view) ~(left : Logical.t)
     ~(right : Logical.t) (cond : Expr.t) : join_algo =
   let bound = Schema.arity (Logical.schema left) in
@@ -499,18 +505,19 @@ let render_profile (entries : profile_entry list) : string =
 
 (* ---- EXPLAIN ---- *)
 
+let probe_name = function
+  | P_eq _ -> " eq"
+  | P_in _ -> " in"
+  | P_range (Some _, Some _) -> " range"
+  | P_range (Some _, None) -> " range>="
+  | P_range (None, Some _) -> " range<="
+  | P_range (None, None) -> ""
+
 let algo_name = function
   | Nested_loop -> "nested-loop"
   | Hash _ -> "hash"
   | Index_nl { table; column; probe; _ } ->
-    Printf.sprintf "index(%s.%s%s)" table column
-      (match probe with
-       | P_eq _ -> " eq"
-       | P_in _ -> " in"
-       | P_range (Some _, Some _) -> " range"
-       | P_range (Some _, None) -> " range>="
-       | P_range (None, Some _) -> " range<="
-       | P_range (None, None) -> "")
+    Printf.sprintf "index(%s.%s%s)" table column (probe_name probe)
 
 let rec pp ?(indent = 0) ppf (p : t) =
   let pad = String.make (indent * 2) ' ' in

@@ -67,6 +67,13 @@ type t =
   | Union_all of { left : t; right : t }
   | Alias of { input : t; rel : string }
 
+(** The index probes a single-relation predicate offers, as
+    [(column, probe)]: conjuncts bounding a column by closed expressions
+    ([=], [IN], [BETWEEN], [<=]/[>=]/[<]/[>]), merged per column as for
+    an index join.  A probe only narrows: the rows it selects are a
+    superset of the rows the predicate accepts. *)
+val sargable : Expr.t -> (int * probe) list
+
 (** Choose the join algorithm for a logical join. *)
 val choose_join_algo :
   options -> catalog_view -> left:Logical.t -> right:Logical.t -> Expr.t -> join_algo
@@ -94,5 +101,8 @@ val execute_analyze : catalog_view -> t -> Relation.t * profile_entry list
 val render_profile : profile_entry list -> string
 
 val algo_name : join_algo -> string
+
+(** [" eq"], [" in"], [" range"], ...: a probe's suffix in plan text. *)
+val probe_name : probe -> string
 val pp : ?indent:int -> Format.formatter -> t -> unit
 val to_string : t -> string

@@ -87,12 +87,11 @@ type probe =
 
 let index_join kind ~(left : Relation.t) ~(right : Relation.t) ~(index : Index.t)
     ~probe ?residual () : Relation.t =
-  let rrows = Relation.rows right in
   let rnull = null_row (Schema.arity (Relation.schema right)) in
   let out = ref [] in
   Relation.iter
     (fun lrow ->
-      let ids =
+      let matches =
         match probe with
         | Probe_eq e -> Index.lookup_eq index (Expr.eval lrow e)
         | Probe_range (lo, hi) ->
@@ -109,14 +108,14 @@ let index_join kind ~(left : Relation.t) ~(right : Relation.t) ~(index : Index.t
       in
       let matched = ref false in
       List.iter
-        (fun rid ->
-          let combined = Row.append lrow rrows.(rid) in
+        (fun rrow ->
+          let combined = Row.append lrow rrow in
           let ok = match residual with None -> true | Some p -> Expr.holds combined p in
           if ok then begin
             matched := true;
             out := combined :: !out
           end)
-        ids;
+        matches;
       if (not !matched) && kind = Left_outer then
         out := Row.append lrow rnull :: !out)
     left;

@@ -1,5 +1,6 @@
 (* An in-memory relation: a schema plus a row array.  Operators produce
-   fresh relations; storage-level tables wrap a mutable version of this. *)
+   fresh relations; a base table's rows live in a [Store.t] and reach
+   readers flattened into one of these. *)
 
 type t = {
   schema : Schema.t;

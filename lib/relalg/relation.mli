@@ -1,6 +1,6 @@
 (** In-memory relations: a schema plus a row array.  Operators produce
-    fresh relations; storage-level tables wrap a mutable row array and
-    expose snapshots through this type. *)
+    fresh relations; a base table's rows live in a {!Store.t} and reach
+    readers flattened into one of these. *)
 
 type t
 
